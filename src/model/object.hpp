@@ -59,6 +59,10 @@ class Object {
 
   std::string to_string() const;
 
+  /// The wire field list (wire/serialize.hpp).
+  template <class Ar>
+  friend void fields(Ar& ar, Object& o);
+
  private:
   ObjectId id_;
   std::vector<Tuple> tuples_;

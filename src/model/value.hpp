@@ -67,6 +67,10 @@ class Value {
 
   std::string to_string() const;
 
+  /// The wire field list (wire/serialize.hpp).
+  template <class Ar>
+  friend void fields(Ar& ar, Value& v);
+
  private:
   struct Null {
     friend bool operator==(const Null&, const Null&) { return true; }

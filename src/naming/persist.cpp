@@ -26,7 +26,7 @@ Result<void> save_registry(const NameRegistry& registry, const std::string& path
   const auto hints = registry.departure_hints();
   e.varint(hints.size());
   for (const auto& [id, site] : hints) {
-    wire::encode(e, id);
+    e(id);
     e.varint(site);
   }
   wire::Bytes bytes = e.take();
@@ -71,34 +71,33 @@ Result<NameRegistry> load_registry(const std::string& path) {
   }
 
   wire::Decoder d(std::span(bytes.data(), body));
-  auto magic = d.varint();
+  auto magic = d.read<std::uint64_t>();
   if (!magic.ok()) return magic.error();
   if (magic.value() != kMagic) {
     return make_error(Errc::kDecode, "not a name-registry file");
   }
-  auto self = d.varint();
+  auto self = d.read<SiteId>();
   if (!self.ok()) return self.error();
-  NameRegistry registry(static_cast<SiteId>(self.value()));
+  NameRegistry registry(self.value());
 
-  auto nrecords = d.varint();
+  auto nrecords = d.read<std::uint64_t>();
   if (!nrecords.ok()) return nrecords.error();
   for (std::uint64_t i = 0; i < nrecords.value(); ++i) {
-    auto seq = d.varint();
+    auto seq = d.read<LocalSeq>();
     if (!seq.ok()) return seq.error();
-    auto site = d.varint();
+    auto site = d.read<SiteId>();
     if (!site.ok()) return site.error();
-    registry.record_location(
-        ObjectId(registry.self(), static_cast<LocalSeq>(seq.value())),
-        static_cast<SiteId>(site.value()));
+    registry.record_location(ObjectId(registry.self(), seq.value()),
+                             site.value());
   }
-  auto nhints = d.varint();
+  auto nhints = d.read<std::uint64_t>();
   if (!nhints.ok()) return nhints.error();
   for (std::uint64_t i = 0; i < nhints.value(); ++i) {
-    auto id = wire::decode_object_id(d);
+    auto id = d.read<ObjectId>();
     if (!id.ok()) return id.error();
-    auto site = d.varint();
+    auto site = d.read<SiteId>();
     if (!site.ok()) return site.error();
-    registry.record_departure(id.value(), static_cast<SiteId>(site.value()));
+    registry.record_departure(id.value(), site.value());
   }
   if (!d.done()) return make_error(Errc::kDecode, "trailing registry bytes");
   return registry;

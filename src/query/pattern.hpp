@@ -118,6 +118,10 @@ class Pattern {
   /// Textual form accepted by the parser (round-trips).
   std::string to_string() const;
 
+  /// The wire field list (wire/serialize.hpp).
+  template <class Ar>
+  friend void fields(Ar& ar, Pattern& p);
+
  private:
   PatternKind kind_ = PatternKind::kAny;
   Value literal_;

@@ -79,6 +79,10 @@ class Query {
   /// queries built from parseable patterns.
   std::string to_string() const;
 
+  /// The wire field list (wire/serialize.hpp).
+  template <class Ar>
+  friend void fields(Ar& ar, Query& q);
+
  private:
   std::vector<Filter> filters_;
   std::vector<ObjectId> initial_ids_;

@@ -48,12 +48,12 @@ wire::Bytes snapshot_store(const SiteStore& store) {
   e.varint(store.site());
   e.varint(store.next_seq());
   e.varint(store.size());
-  store.for_each([&](const Object& obj) { wire::encode(e, obj); });
+  store.for_each([&](const Object& obj) { e(obj); });
   const auto names = store.set_names();
   e.varint(names.size());
   for (const auto& name : names) {
     e.string(name);
-    wire::encode(e, *store.find_set(name));
+    e(*store.find_set(name));
   }
   wire::Bytes bytes = e.take();
   append_checksum(bytes);
@@ -64,17 +64,17 @@ Result<SiteStore> restore_store(std::span<const std::uint8_t> data) {
   auto body = verify_checksum(data);
   if (!body.ok()) return body.error();
   wire::Decoder d(body.value());
-  auto magic = d.varint();
+  auto magic = d.read<std::uint64_t>();
   if (!magic.ok()) return magic.error();
   if (magic.value() != kMagic) {
     return make_error(Errc::kDecode, "not a HyperFile snapshot");
   }
-  auto site = d.varint();
+  auto site = d.read<SiteId>();
   if (!site.ok()) return site.error();
-  SiteStore store(static_cast<SiteId>(site.value()));
-  auto next_seq = d.varint();
+  SiteStore store(site.value());
+  auto next_seq = d.read<std::uint64_t>();
   if (!next_seq.ok()) return next_seq.error();
-  auto count = d.varint();
+  auto count = d.read<std::uint64_t>();
   if (!count.ok()) return count.error();
   // Every object costs at least one byte on the wire, so a count beyond the
   // remaining bytes is corrupt framing — reject it up front instead of
@@ -84,18 +84,18 @@ Result<SiteStore> restore_store(std::span<const std::uint8_t> data) {
   }
   LocalSeq max_seq = 0;
   for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto obj = wire::decode_object(d);
+    auto obj = d.read<Object>();
     if (!obj.ok()) return obj.error();
     const ObjectId id = obj.value().id();
     if (id.birth_site == store.site() && id.seq > max_seq) max_seq = id.seq;
     store.put(std::move(obj).value());
   }
-  auto nsets = d.varint();
+  auto nsets = d.read<std::uint64_t>();
   if (!nsets.ok()) return nsets.error();
   for (std::uint64_t i = 0; i < nsets.value(); ++i) {
-    auto name = d.string();
+    auto name = d.read<std::string>();
     if (!name.ok()) return name.error();
-    auto id = wire::decode_object_id(d);
+    auto id = d.read<ObjectId>();
     if (!id.ok()) return id.error();
     store.bind_set(name.value(), id.value());
   }

@@ -58,64 +58,29 @@ WalRecord WalRecord::bind_set(std::string name, const ObjectId& id,
   return rec;
 }
 
-wire::Bytes encode_wal_record(const WalRecord& rec) {
-  wire::Encoder e;
-  e.u8(static_cast<std::uint8_t>(rec.op));
-  e.varint(rec.next_seq);
+/// Wire field list of a redo record: op, next_seq, then the op's body.
+template <class Ar>
+void fields(Ar& ar, WalRecord& rec) {
+  ar(rec.op, rec.next_seq);
   switch (rec.op) {
     case WalRecord::Op::kPut:
-      wire::encode(e, rec.object);
-      break;
+      ar(rec.object);
+      if constexpr (Ar::kDecoding) rec.id = rec.object.id();
+      return;
     case WalRecord::Op::kErase:
-      wire::encode(e, rec.id);
-      break;
+      return ar(rec.id);
     case WalRecord::Op::kBindSet:
-      e.string(rec.name);
-      wire::encode(e, rec.id);
-      break;
+      return ar(rec.name, rec.id);
   }
-  return e.take();
+  ar.fail("unknown WAL record op");
+}
+
+wire::Bytes encode_wal_record(const WalRecord& rec) {
+  return wire::encode(rec);
 }
 
 Result<WalRecord> decode_wal_record(std::span<const std::uint8_t> payload) {
-  wire::Decoder d(payload);
-  auto op = d.u8();
-  if (!op.ok()) return op.error();
-  auto next_seq = d.varint();
-  if (!next_seq.ok()) return next_seq.error();
-  WalRecord rec;
-  rec.next_seq = next_seq.value();
-  switch (op.value()) {
-    case static_cast<std::uint8_t>(WalRecord::Op::kPut): {
-      rec.op = WalRecord::Op::kPut;
-      auto obj = wire::decode_object(d);
-      if (!obj.ok()) return obj.error();
-      rec.id = obj.value().id();
-      rec.object = std::move(obj).value();
-      break;
-    }
-    case static_cast<std::uint8_t>(WalRecord::Op::kErase): {
-      rec.op = WalRecord::Op::kErase;
-      auto id = wire::decode_object_id(d);
-      if (!id.ok()) return id.error();
-      rec.id = id.value();
-      break;
-    }
-    case static_cast<std::uint8_t>(WalRecord::Op::kBindSet): {
-      rec.op = WalRecord::Op::kBindSet;
-      auto name = d.string();
-      if (!name.ok()) return name.error();
-      auto id = wire::decode_object_id(d);
-      if (!id.ok()) return id.error();
-      rec.name = std::move(name).value();
-      rec.id = id.value();
-      break;
-    }
-    default:
-      return make_error(Errc::kDecode, "unknown WAL record op");
-  }
-  if (!d.done()) return make_error(Errc::kDecode, "trailing WAL record bytes");
-  return rec;
+  return wire::decode<WalRecord>(payload);
 }
 
 Result<WalReplay> replay_wal(const std::string& path) {
@@ -143,7 +108,7 @@ Result<WalReplay> replay_wal(const std::string& path) {
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     wire::Decoder d(std::span<const std::uint8_t>(bytes).subspan(pos));
-    auto len = d.varint();
+    auto len = d.read<std::uint64_t>();
     if (!len.ok()) break;
     const std::size_t header = bytes.size() - pos - d.remaining();
     if (len.value() > d.remaining() || d.remaining() - len.value() < 8) break;
@@ -211,7 +176,7 @@ Result<WalSegmentRead> read_wal_segment(const std::string& path,
   bool clean_stop = false;
   while (pos < bytes.size()) {
     wire::Decoder d(std::span<const std::uint8_t>(bytes).subspan(pos));
-    auto len = d.varint();
+    auto len = d.read<std::uint64_t>();
     if (!len.ok()) break;
     const std::size_t header = bytes.size() - pos - d.remaining();
     if (len.value() > d.remaining() || d.remaining() - len.value() < 8) break;

@@ -320,13 +320,18 @@ struct Envelope {
 
 const char* message_type_name(const Message& m);
 
+/// Wire form: tag byte (variant index + 1), then the message's fields.
+/// Decoding rejects anything but exactly one well-formed message.
 Bytes encode_message(const Message& m);
 Result<Message> decode_message(std::span<const std::uint8_t> data);
 
+/// Wire form: varint src, varint dst, then the encoded message behind a
+/// varint length.
 Bytes encode_envelope(const Envelope& e);
 /// Encode into `out` (cleared first), reusing its buffer capacity — the
 /// allocation-free form for senders that consume the bytes immediately.
 void encode_envelope(const Envelope& e, Encoder& out);
+/// Decodes the payload in place, without copying it.
 Result<Envelope> decode_envelope(std::span<const std::uint8_t> data);
 
 }  // namespace hyperfile::wire

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <chrono>
 #include <thread>
+#include <tuple>
 
 #include "common/metrics.hpp"
 #include "dist/cluster.hpp"
@@ -598,6 +599,55 @@ TEST(SiteServerProtocol, StrandedParticipantContextExpiresViaTtl) {
         << "stranded context never expired";
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  server.stop();
+}
+
+TEST(SiteServerProtocol, OutOfRangeEntryFilterNeverReachesTheEngine) {
+  // Regression: a deref entering at filter 0 indexed filters_[-1] and
+  // crashed the receiving site; one entering past n + 1 skipped every
+  // filter and returned a non-matching object as a result. Both frames are
+  // rejected at decode, and the site keeps answering valid derefs.
+  InProcNetwork net(2);
+  SiteStore store(0);
+  const ObjectId hit = store.allocate();
+  const ObjectId miss = store.allocate();
+  store.put(Object(hit, {Tuple::keyword("hit")}));
+  store.put(Object(miss, {Tuple::keyword("other")}));
+
+  SiteServer server(net.endpoint(0), std::move(store));
+  server.start();
+  auto driver = net.endpoint(1);
+
+  wire::DerefRequest dr;
+  dr.query = parse_or_die(R"(S (keyword, "hit", ?) -> T)");
+  dr.weight = {1};
+  for (const auto& [seq, oid, start] :
+       {std::tuple{1u, hit, 0u}, std::tuple{2u, miss, 7u}}) {
+    dr.qid = {1, seq};
+    dr.oid = oid;
+    dr.start = start;
+    dr.msg_seq = seq;
+    EXPECT_FALSE(driver->send(0, dr).ok()) << "start " << start;
+  }
+
+  dr.qid = {1, 3};
+  dr.oid = hit;
+  dr.start = 1;
+  dr.msg_seq = 3;
+  ASSERT_TRUE(driver->send(0, dr).ok());
+
+  bool answered = false;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!answered && std::chrono::steady_clock::now() < deadline) {
+    auto env = driver->recv(Duration(500'000));
+    if (!env.has_value()) continue;
+    const auto* rm = std::get_if<wire::ResultMessage>(&env->message);
+    if (rm == nullptr) continue;
+    EXPECT_EQ(rm->qid, (wire::QueryId{1, 3})) << "rejected deref answered";
+    EXPECT_EQ(rm->ids, std::vector<ObjectId>{hit});
+    answered = rm->qid == wire::QueryId{1, 3};
+  }
+  EXPECT_TRUE(answered) << "valid deref not answered";
   server.stop();
 }
 

@@ -152,20 +152,22 @@ TEST(AtomicMarkMap, ReadersRaceGrowthSafely) {
   // stays found, and test() on absent keys stays false (no torn slots).
   AtomicMarkMap map(/*bits_per_key=*/4, /*expected_keys=*/16);
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> inserted_up_to{0};
+  // Keys [0, inserted) are set; 0 until the writer's first set() lands.
+  std::atomic<std::uint64_t> inserted{0};
 
   std::thread writer([&] {
     for (std::uint64_t k = 0; k < 20000; ++k) {
       map.set(k * 2, static_cast<std::uint32_t>(k % 4));  // even keys only
-      inserted_up_to.store(k, std::memory_order_release);
+      inserted.store(k + 1, std::memory_order_release);
     }
     stop.store(true);
   });
   std::thread reader([&] {
     Rng rng(77);
     while (!stop.load()) {
-      const std::uint64_t hi = inserted_up_to.load(std::memory_order_acquire);
-      const std::uint64_t k = rng.next_below(hi + 1);
+      const std::uint64_t n = inserted.load(std::memory_order_acquire);
+      if (n == 0) continue;
+      const std::uint64_t k = rng.next_below(n);
       ASSERT_TRUE(map.test(k * 2, static_cast<std::uint32_t>(k % 4)));
       ASSERT_FALSE(map.test_any(k * 2 + 1));  // odd keys never inserted
     }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
+
 #include "common/rng.hpp"
 #include "query/builder.hpp"
 #include "query/parser.hpp"
@@ -7,8 +12,33 @@
 #include "store/wal.hpp"
 #include "wire/serialize.hpp"
 
+// Counts every global operator new in this binary, so tests can assert
+// that a code path does not allocate.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+// The replacement operator new above is malloc-based, so free() matches it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace hyperfile::wire {
 namespace {
+
+std::size_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 TEST(Codec, VarintRoundTrip) {
   Encoder e;
@@ -17,7 +47,7 @@ TEST(Codec, VarintRoundTrip) {
   for (auto v : values) e.varint(v);
   Decoder d(e.bytes());
   for (auto v : values) {
-    auto got = d.varint();
+    auto got = d.read<std::uint64_t>();
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), v);
   }
@@ -30,7 +60,7 @@ TEST(Codec, SignedVarintRoundTrip) {
   for (auto v : values) e.svarint(v);
   Decoder d(e.bytes());
   for (auto v : values) {
-    auto got = d.svarint();
+    auto got = d.read<std::int64_t>();
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), v);
   }
@@ -42,9 +72,9 @@ TEST(Codec, StringAndBytes) {
   e.string("");
   e.bytes(std::vector<std::uint8_t>{1, 2, 3});
   Decoder d(e.bytes());
-  EXPECT_EQ(d.string().value(), "hello");
-  EXPECT_EQ(d.string().value(), "");
-  EXPECT_EQ(d.bytes().value().size(), 3u);
+  EXPECT_EQ(d.read<std::string>().value(), "hello");
+  EXPECT_EQ(d.read<std::string>().value(), "");
+  EXPECT_EQ(d.read<Bytes>().value().size(), 3u);
   EXPECT_TRUE(d.done());
 }
 
@@ -54,7 +84,7 @@ TEST(Codec, TruncatedInputFailsCleanly) {
   auto bytes = e.take();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     Decoder d(std::span(bytes.data(), cut));
-    EXPECT_FALSE(d.string().ok()) << "cut=" << cut;
+    EXPECT_FALSE(d.read<std::string>().ok()) << "cut=" << cut;
   }
 }
 
@@ -62,7 +92,7 @@ TEST(Codec, OverlongVarintRejected) {
   // 11 continuation bytes exceed a 64-bit varint.
   Bytes bad(11, 0x80);
   Decoder d(bad);
-  EXPECT_FALSE(d.varint().ok());
+  EXPECT_FALSE(d.read<std::uint64_t>().ok());
 }
 
 TEST(Serialize, ValueRoundTripAllKinds) {
@@ -74,10 +104,7 @@ TEST(Serialize, ValueRoundTripAllKinds) {
       Value::blob({0, 255, 1, 254}),
   };
   for (const Value& v : values) {
-    Encoder e;
-    encode(e, v);
-    Decoder d(e.bytes());
-    auto got = decode_value(d);
+    auto got = decode<Value>(encode(v));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), v);
     if (v.is_pointer()) {
@@ -94,10 +121,7 @@ TEST(Serialize, ObjectRoundTrip) {
   obj.add(Tuple::pointer("Called Routine", ObjectId(1, 3)));
   obj.add(Tuple::pointer("Library", ObjectId(0, 8, 4)));
 
-  Encoder e;
-  encode(e, obj);
-  Decoder d(e.bytes());
-  auto got = decode_object(d);
+  auto got = decode<Object>(encode(obj));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), obj);
 }
@@ -106,8 +130,7 @@ TEST(Serialize, QueryRoundTrip) {
   auto q = parse_query(
       R"(S [ (pointer, "Reference", ?X) | ^^X ]* (keyword, "Distributed", ?) (string, "Title", ->t) -> T)");
   ASSERT_TRUE(q.ok());
-  auto bytes = encode_query(q.value());
-  auto got = decode_query(bytes);
+  auto got = decode<Query>(encode(q.value()));
   ASSERT_TRUE(got.ok()) << got.error().to_string();
   EXPECT_EQ(got.value(), q.value());
 }
@@ -116,7 +139,7 @@ TEST(Serialize, QueryWithAllPatternKindsRoundTrips) {
   auto q = parse_query(
       R"({1.2} (number, "Y", [10..20]) (/re/, ?, ?B) (string, $B, -42) count -> R)");
   ASSERT_TRUE(q.ok()) << q.error().to_string();
-  auto got = decode_query(encode_query(q.value()));
+  auto got = decode<Query>(encode(q.value()));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), q.value());
 }
@@ -128,7 +151,7 @@ TEST(Serialize, PaperQueryIsSmall) {
   auto q = parse_query(
       R"(Root [ (pointer, "Tree", ?X) | ^X ]* (skey, "Rand10p", 5) -> T)");
   ASSERT_TRUE(q.ok());
-  const auto bytes = encode_query(q.value());
+  const auto bytes = encode(q.value());
   EXPECT_LT(bytes.size(), 100u);
   EXPECT_GT(bytes.size(), 20u);
 }
@@ -136,7 +159,7 @@ TEST(Serialize, PaperQueryIsSmall) {
 TEST(Messages, DerefRequestRoundTrip) {
   DerefRequest dr;
   dr.qid = {4, 77};
-  dr.query = parse_query(R"(S (?, ?, ?) -> T)").value();
+  dr.query = parse_query(R"(S (?, ?, ?) (?, ?, ?) -> T)").value();
   dr.oid = ObjectId(1, 9, 2);
   dr.start = 3;
   dr.iter_stack = {1, 4, 2};
@@ -226,7 +249,7 @@ TEST(Messages, ResultMessageRoundTrip) {
 TEST(Messages, BatchDerefRoundTrip) {
   BatchDerefRequest bd;
   bd.qid = {2, 9};
-  bd.query = parse_query(R"(S (?, ?, ?) -> T)").value();
+  bd.query = parse_query(R"(S (?, ?, ?) (?, ?, ?) -> T)").value();
   bd.items = {{ObjectId(0, 1), 3, {1, 2}}, {ObjectId(1, 7, 2), 1, {4}}};
   bd.weight = {3, 5};
   bd.msg_seq = 17;
@@ -902,6 +925,147 @@ TEST(Golden, DecodedMessagesEqualTheirSources) {
     EXPECT_EQ(got.reply_to, src.reply_to);
     EXPECT_EQ(got.client_seq, src.client_seq);
   }
+}
+
+TEST(Golden, MutatedFramesDecodeCanonicallyOrFail) {
+  // Every single-bit flip, every whole-byte complement and every truncation
+  // of every golden frame must either be rejected or decode to a value that
+  // re-encodes to exactly the mutated bytes: decoding is canonical, so no
+  // two accepted frames mean the same thing.
+  auto roundtrip = [](GoldenFrame::Kind kind,
+                      std::span<const std::uint8_t> b) -> std::optional<Bytes> {
+    switch (kind) {
+      case GoldenFrame::Kind::kMessage:
+        if (auto m = decode_message(b); m.ok()) return encode_message(m.value());
+        break;
+      case GoldenFrame::Kind::kWal:
+        if (auto r = decode_wal_record(b); r.ok()) {
+          return encode_wal_record(r.value());
+        }
+        break;
+      case GoldenFrame::Kind::kEnvelope:
+        if (auto e = decode_envelope(b); e.ok()) return encode_envelope(e.value());
+        break;
+    }
+    return std::nullopt;
+  };
+  std::size_t mutants = 0;
+  std::size_t accepted = 0;
+  for (const GoldenFrame& g : golden_frames()) {
+    const Bytes pinned = from_hex(g.hex);
+    for (std::size_t cut = 0; cut < pinned.size(); ++cut) {
+      ++mutants;
+      EXPECT_FALSE(roundtrip(g.kind, std::span(pinned.data(), cut)))
+          << g.name << " truncated to " << cut << " bytes decoded";
+    }
+    Bytes mutant = pinned;
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+      for (int flip = 0; flip <= 8; ++flip) {
+        mutant[i] = static_cast<std::uint8_t>(
+            pinned[i] ^ (flip == 8 ? 0xff : 1u << flip));
+        ++mutants;
+        if (auto again = roundtrip(g.kind, mutant)) {
+          ++accepted;
+          EXPECT_EQ(to_hex(*again), to_hex(mutant))
+              << g.name << " byte " << i << " flip " << flip;
+        }
+      }
+      mutant[i] = pinned[i];
+    }
+  }
+  // Most flips land in ids, counters and text, which stay well-formed.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, mutants);
+}
+
+TEST(Golden, TrailingBytesRejected) {
+  Bytes done = encode_message(QueryDone{{300, 70000}});
+  done.push_back(0);
+  EXPECT_FALSE(decode_message(done).ok());
+
+  Bytes env = encode_envelope(Envelope{300, 129, QueryDone{{300, 70000}}});
+  env.push_back(0);
+  EXPECT_FALSE(decode_envelope(env).ok());
+}
+
+TEST(Golden, DerefEntryFilterOutOfRangeRejected) {
+  // A dereference enters the query at filter 1..n, or n + 1 once it has
+  // passed them all. start 0 indexed filters_[-1] at the receiving site;
+  // start n + 2 skipped every filter and returned the object as a result.
+  DerefRequest dr;
+  dr.qid = {1, 1};
+  dr.query = parse_query(R"(S (keyword, "hit", ?) -> T)").value();
+  dr.oid = ObjectId(0, 1);
+  for (std::uint32_t start : {0u, 3u, 7u}) {
+    dr.start = start;
+    EXPECT_FALSE(decode_message(encode_message(dr)).ok()) << "start " << start;
+  }
+  for (std::uint32_t start : {1u, 2u}) {
+    dr.start = start;
+    EXPECT_TRUE(decode_message(encode_message(dr)).ok()) << "start " << start;
+  }
+
+  BatchDerefRequest bd;
+  bd.qid = {1, 2};
+  bd.query = dr.query;
+  bd.items = {{ObjectId(0, 1), 1, {}}, {ObjectId(0, 2), 0, {}}};
+  EXPECT_FALSE(decode_message(encode_message(bd)).ok());
+  bd.items[1].start = 3;
+  EXPECT_FALSE(decode_message(encode_message(bd)).ok());
+  bd.items[1].start = 2;
+  EXPECT_TRUE(decode_message(encode_message(bd)).ok());
+}
+
+TEST(Golden, NarrowFieldOverflowRejected) {
+  // A varint decoded into a 32-bit field must fit it: 2^32 + 1 used to wrap
+  // silently to 1.
+  const std::uint64_t too_big = (1ull << 32) + 1;
+
+  // LocationUpdate ends with its SiteId field.
+  Bytes lu = encode_message(LocationUpdate{ObjectId(1, 2, 3), 5});
+  ASSERT_EQ(lu.back(), 5);
+  lu.pop_back();
+  Encoder site;
+  site.varint(too_big);
+  lu.insert(lu.end(), site.bytes().begin(), site.bytes().end());
+  EXPECT_FALSE(decode_message(lu).ok());
+
+  // A DerefRequest whose trailing fields are all empty ends with
+  // start, then five zero bytes (iter_stack, weight, msg_seq, hop, path).
+  DerefRequest dr;
+  dr.qid = {1, 1};
+  dr.query = parse_query(R"(S (keyword, "hit", ?) -> T)").value();
+  dr.oid = ObjectId(0, 1);
+  dr.start = 1;
+  Bytes frame = encode_message(dr);
+  ASSERT_EQ(frame[frame.size() - 6], 1);
+  Bytes wrapped(frame.begin(), frame.end() - 6);
+  Encoder start;
+  start.varint(too_big);
+  wrapped.insert(wrapped.end(), start.bytes().begin(), start.bytes().end());
+  wrapped.insert(wrapped.end(), frame.end() - 5, frame.end());
+  EXPECT_FALSE(decode_message(wrapped).ok());
+}
+
+TEST(Golden, EnvelopeReusePathDoesNotAllocate) {
+  const Envelope env{300, 129, golden_message(1)};
+  Encoder scratch;
+  encode_envelope(env, scratch);  // warm the buffer
+  encode_envelope(env, scratch);
+  const std::size_t before = allocations();
+  for (int i = 0; i < 100; ++i) encode_envelope(env, scratch);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(scratch.bytes(), encode_envelope(env));
+
+  // Decoding an envelope allocates exactly what decoding its message does:
+  // the payload is decoded in place, not copied out first.
+  const Bytes payload = encode_message(env.message);
+  std::size_t mark = allocations();
+  ASSERT_TRUE(decode_message(payload).ok());
+  const std::size_t message_allocs = allocations() - mark;
+  mark = allocations();
+  ASSERT_TRUE(decode_envelope(scratch.bytes()).ok());
+  EXPECT_EQ(allocations() - mark, message_allocs);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@ protocol-invariant static analysis for HyperFile.
 
 Usage:
   python3 tools/hfverify                    # all rules over the repo
-  python3 tools/hfverify --rules codec,ordering
+  python3 tools/hfverify --rules ordering,lockorder
   python3 tools/hfverify --self-test        # run the fixture corpus
   python3 tools/hfverify --lock-order       # print the observed lock graph
   python3 tools/hfverify --list-waivers     # the waiver inventory

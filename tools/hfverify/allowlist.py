@@ -75,9 +75,6 @@ ORDER_BANNED_TOKENS = [
 # Directories whose sources form the whole-program view.
 ANALYSIS_DIRS = ("src",)
 
-# Wire codec symmetry: the encode/decode pairs live here.
-CODEC_FILE = os.path.join("src", "wire", "message.cpp")
-
 # Handler-ordering rule: message handlers live here.
 HANDLER_FILE = os.path.join("src", "dist", "site_server.cpp")
 

@@ -12,7 +12,7 @@ The text frontend stays canonical: it needs no toolchain, parses headers
 the compile database never compiles standalone, and is what the fixture
 corpus and CI gates run. This module is import-gated — loading it without
 libclang raises a clear error instead of breaking the default path. The
-codec and ordering rules are syntactic and always use the text parser's
+ordering rule is syntactic and always uses the text parser's
 token model; only confinement and lockorder benefit from AST accuracy,
 so those are what CI exercises advisorily with this frontend.
 """

@@ -1,15 +1,13 @@
-"""hfverify rule families: confinement, codec, ordering, lockorder."""
+"""hfverify rule families: confinement, ordering, lockorder."""
 
-from . import codec, confinement, lockorder, ordering  # noqa: F401
+from . import confinement, lockorder, ordering  # noqa: F401
 
-ALL_RULES = ("confinement", "codec", "ordering", "lockorder")
+ALL_RULES = ("confinement", "ordering", "lockorder")
 
 
 def run_rule(rule: str, program, **kwargs):
     if rule == "confinement":
         return confinement.check(program)
-    if rule == "codec":
-        return codec.check(program, **kwargs)
     if rule == "ordering":
         return ordering.check(program, **kwargs)
     if rule == "lockorder":

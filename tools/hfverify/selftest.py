@@ -57,9 +57,7 @@ def run_self_test(root: str) -> int:
         program = Program()
         parse_file(program, rel, text)
         kwargs = {}
-        if rule == "codec":
-            kwargs["codec_file"] = rel
-        elif rule == "ordering":
+        if rule == "ordering":
             kwargs["handler_file"] = rel
         elif rule == "lockorder":
             edges = {(a, b) for a, b in _EDGE_RE.findall(text)}
