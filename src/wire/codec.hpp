@@ -24,7 +24,7 @@
 // is bounds-checked and canonical: counts and lengths never exceed the
 // remaining input, varints are minimal and fit their field, and every
 // accepted frame re-encodes to itself. The first error sticks — later reads
-// yield zeros and consume nothing — and is reported by status().
+// yield zeros and consume nothing — and is what read() and decode() report.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +32,6 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -75,7 +74,7 @@ class Encoder {
            static_cast<std::uint64_t>(v >> 63));
   }
 
-  void string(std::string_view s) {
+  void string(const std::string& s) {
     varint(s.size());
     out_.insert(out_.end(), s.begin(), s.end());
   }
@@ -129,21 +128,15 @@ class Encoder {
   }
 
   /// `body`'s bytes preceded by their varint length. The body is written in
-  /// place and the length inserted in front of it afterwards, so a warm
+  /// place and its length appended and rotated to the front, so a warm
   /// buffer is never reallocated.
   template <class F>
   void length_prefixed(F&& body) {
-    const std::size_t at = out_.size();
+    const auto at = static_cast<std::ptrdiff_t>(out_.size());
     body();
-    std::uint64_t len = out_.size() - at;
-    std::uint8_t prefix[10];
-    std::size_t n = 0;
-    for (; len >= 0x80; len >>= 7) {
-      prefix[n++] = static_cast<std::uint8_t>(len) | 0x80;
-    }
-    prefix[n++] = static_cast<std::uint8_t>(len);
-    out_.insert(out_.begin() + static_cast<std::ptrdiff_t>(at), prefix,
-                prefix + n);
+    const auto end = static_cast<std::ptrdiff_t>(out_.size());
+    varint(static_cast<std::uint64_t>(end - at));
+    std::rotate(out_.begin() + at, out_.begin() + end, out_.end());
   }
 
   /// Decode-side validation hook; an encoder only sees well-formed values.
@@ -163,11 +156,6 @@ class Decoder {
   std::size_t remaining() const { return data_.size() - pos_; }
 
   bool ok() const { return !failed_; }
-  /// Ok, or the first error this decoder met.
-  Result<void> status() const {
-    if (failed_) return error_;
-    return {};
-  }
   /// Record a decode error and stop: the first error sticks, and every
   /// later read fails without consuming input.
   void fail(std::string what) {
@@ -178,7 +166,8 @@ class Decoder {
     pos_ = data_.size();
   }
 
-  /// Decode one T from the current position.
+  /// Decode one T from the current position; on failure, the first error
+  /// this decoder met.
   template <class T>
   Result<T> read() {
     T x{};
@@ -344,7 +333,7 @@ class Decoder {
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool failed_ = false;
-  Error error_;
+  Error error_{Errc::kDecode, {}};
 };
 
 /// One-shot forms: the whole of `data` must decode as one T.
@@ -358,10 +347,10 @@ Bytes encode(const T& x) {
 template <class T>
 Result<T> decode(std::span<const std::uint8_t> data) {
   Decoder d(data);
-  T x{};
-  d(x);
-  if (d.ok() && !d.done()) d.fail("trailing bytes after message");
-  if (auto s = d.status(); !s.ok()) return s.error();
+  auto x = d.read<T>();
+  if (x.ok() && !d.done()) {
+    return make_error(Errc::kDecode, "trailing bytes after message");
+  }
   return x;
 }
 

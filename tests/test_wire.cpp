@@ -8,8 +8,8 @@
 #include "common/rng.hpp"
 #include "query/builder.hpp"
 #include "query/parser.hpp"
-#include "wire/message.hpp"
 #include "store/wal.hpp"
+#include "wire/message.hpp"
 #include "wire/serialize.hpp"
 
 // Counts every global operator new in this binary, so tests can assert
