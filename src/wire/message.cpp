@@ -149,11 +149,23 @@ namespace {
 // tags; the asserts pin each alternative to its tag, so reordering Message
 // fails to compile instead of silently renumbering the protocol.
 constexpr const char* kMessageNames[] = {
-    "DerefRequest",      "StartQuery",     "ResultMessage", "QueryDone",
-    "ClientRequest",     "ClientReply",    "BatchDerefRequest",
-    "TermAck",           "MoveCommand",    "MoveData",      "LocationUpdate",
-    "MoveReply",         "PingMessage",    "SummaryMessage", "WalSubscribe",
-    "WalSegment",        "WalCatchup",
+    "DerefRequest",       // 1
+    "StartQuery",         // 2
+    "ResultMessage",      // 3
+    "QueryDone",          // 4
+    "ClientRequest",      // 5
+    "ClientReply",        // 6
+    "BatchDerefRequest",  // 7
+    "TermAck",            // 8
+    "MoveCommand",        // 9
+    "MoveData",           // 10
+    "LocationUpdate",     // 11
+    "MoveReply",          // 12
+    "PingMessage",        // 13
+    "SummaryMessage",     // 14
+    "WalSubscribe",       // 15
+    "WalSegment",         // 16
+    "WalCatchup",         // 17
 };
 static_assert(std::size(kMessageNames) == std::variant_size_v<Message>);
 
