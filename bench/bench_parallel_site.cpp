@@ -11,21 +11,19 @@
 // multiplies the per-object text so filter CPU dominates messaging even on
 // slow hosts.
 //
-// Two engines run in the same binary (DESIGN.md §14):
-//   * legacy  — the frozen pre-overhaul drain (engine/legacy_drain.hpp):
-//     mutex-sharded marks, one shared deque, allocating hot loop, generic
-//     std::regex matching.
-//   * current — lock-free marks, per-worker work-stealing queues,
-//     allocation-free steady state, literal/prefix regex fast path.
+// Every row's `speedup_vs_serial` is measured against the serial drain
+// (workers=0) on the same transport. It is recorded, not gated: thread
+// scaling depends on host cores (see the hardware_threads counter), and with
+// 3 sites draining concurrently the serial configuration already uses up to
+// 3 cores. Every row also records the expected result count, so
+// tools/check_bench_speedup.py can reject a wrong answer.
 //
-// Every row's `speedup_vs_serial` is measured against the SAME baseline: the
-// legacy engine at workers=0 on that transport. The legacy rows are the
-// pre-change curve; the current rows show what the overhaul buys, and
-// tools/check_bench_speedup.py gates CI on the workers=4 in-proc row.
-// Thread-scaling depends on host cores (see the hardware_threads counter):
-// with 3 sites draining concurrently the serial configuration already uses
-// up to 3 cores, and on a single-core host all speedup comes from the
-// single-thread wins.
+// The single-thread gate lives in the `regex_fast_path` row: over the same
+// generated tuples, the bench query's regex is matched through
+// Pattern::matches_basic (the literal fast path every drain uses) and through
+// Pattern::matches_reference (always std::regex), in this binary and run.
+// tools/check_bench_speedup.py gates CI on their ratio,
+// `regex_fast_path_speedup`.
 //
 // Emits BENCH_parallel_site.json (override with --json <path>).
 #include <memory>
@@ -140,10 +138,9 @@ struct RunOutcome {
 };
 
 RunOutcome run_inproc(const WorkloadShape& shape, std::size_t workers,
-                      bool legacy, const Query& q, int runs) {
+                      const Query& q, int runs) {
   SiteServerOptions options;
   options.drain_workers = workers;
-  options.legacy_drain = legacy;
   Cluster cluster(kSites, options);
   std::vector<SiteStore*> stores;
   for (SiteId s = 0; s < kSites; ++s) stores.push_back(&cluster.store(s));
@@ -172,7 +169,7 @@ RunOutcome run_inproc(const WorkloadShape& shape, std::size_t workers,
 }
 
 RunOutcome run_tcp(const WorkloadShape& shape, std::size_t workers,
-                   bool legacy, const Query& q, int runs) {
+                   const Query& q, int runs) {
   RunOutcome out;
 
   std::vector<TcpPeer> zeros(kSites + 1, TcpPeer{"127.0.0.1", 0});
@@ -199,7 +196,6 @@ RunOutcome run_tcp(const WorkloadShape& shape, std::size_t workers,
 
   SiteServerOptions options;
   options.drain_workers = workers;
-  options.legacy_drain = legacy;
   std::vector<std::unique_ptr<SiteServer>> servers;
   for (SiteId s = 0; s < kSites; ++s) {
     servers.push_back(std::make_unique<SiteServer>(std::move(nets[s]),
@@ -224,6 +220,52 @@ RunOutcome run_tcp(const WorkloadShape& shape, std::size_t workers,
       runs);
   out.drain = DrainCounters::snapshot().delta_since(before);
   for (auto& server : servers) server->stop();
+  return out;
+}
+
+/// The bench query's regex timed through both matchers over every generated
+/// "Text" value; both must find the same tuples.
+struct RegexTiming {
+  std::size_t hit_objects = 0;  // objects the bench query must return
+  WallStats basic;
+  WallStats reference;
+  std::size_t strings = 0;
+  std::size_t basic_matches = 0;
+  std::size_t reference_matches = 0;
+};
+
+RegexTiming time_regex(const WorkloadShape& shape, const Query& q, int runs) {
+  std::vector<SiteStore> stores;
+  for (SiteId s = 0; s < kSites; ++s) stores.emplace_back(s);
+  std::vector<SiteStore*> ptrs;
+  for (auto& st : stores) ptrs.push_back(&st);
+  RegexTiming out;
+  out.hit_objects = populate(ptrs, shape);
+  std::vector<Value> texts;
+  for (const SiteStore& st : stores) {
+    st.for_each([&](const Object& obj) {
+      for (const Tuple& t : obj.tuples()) {
+        if (t.key == "Text") texts.push_back(t.data);
+      }
+    });
+  }
+  const Pattern& p = std::get<SelectFilter>(q.filter(q.size())).data_pattern;
+
+  out.strings = texts.size();
+  out.basic = time_wall(
+      [&] {
+        out.basic_matches = 0;
+        for (const Value& v : texts) out.basic_matches += p.matches_basic(v);
+      },
+      runs);
+  out.reference = time_wall(
+      [&] {
+        out.reference_matches = 0;
+        for (const Value& v : texts) {
+          out.reference_matches += p.matches_reference(v);
+        }
+      },
+      runs);
   return out;
 }
 
@@ -257,71 +299,91 @@ int main(int argc, char** argv) {
   std::printf(
       "%zu sites x %zu text-heavy objects (%zu tuples x %zu chars), closure "
       "query; host hardware threads: %u\nworkers=0 is the serial event-loop "
-      "drain; every speedup is vs the LEGACY serial drain per transport.\n\n",
+      "drain; every speedup is vs workers=0 on the same transport.\n\n",
       static_cast<std::size_t>(kSites), shape.nodes_per_site,
       shape.tuples_per_node, shape.chars_per_tuple, hw_threads);
-  std::printf("%-8s %-8s %-8s %12s %12s %10s %8s %8s %12s %10s\n", "net",
-              "engine", "workers", "mean(ms)", "min(ms)", "results", "steals",
-              "stolen", "wait(ms)", "speedup");
 
   const Query q = bench_query();
-  const std::size_t worker_counts[] = {0, 1, 2, 4, 8};
   bool all_ok = true;
 
-  for (const char* transport : {"inproc", "tcp"}) {
-    // The shared baseline for this transport: legacy engine, serial drain.
-    double legacy_serial_mean = 0;
-    for (const bool legacy : {true, false}) {
-      for (std::size_t workers : worker_counts) {
-        const bool inproc = std::string(transport) == "inproc";
-        RunOutcome out = inproc ? run_inproc(shape, workers, legacy, q, runs)
-                                : run_tcp(shape, workers, legacy, q, runs);
-        const char* engine = legacy ? "legacy" : "current";
-        if (!out.ok) {
-          std::printf("%-8s %-8s %-8zu %12s\n", transport, engine, workers,
-                      "(skipped)");
-          continue;
-        }
-        if (legacy && workers == 0) legacy_serial_mean = out.wall.mean_ms;
-        const double speedup = legacy_serial_mean > 0
-                                   ? legacy_serial_mean / out.wall.mean_ms
-                                   : 0;
-        std::printf(
-            "%-8s %-8s %-8zu %12.2f %12.2f %10zu %8llu %8llu %12.2f %9.2fx\n",
-            transport, engine, workers, out.wall.mean_ms, out.wall.min_ms,
-            out.results, static_cast<unsigned long long>(out.drain.steals),
-            static_cast<unsigned long long>(out.drain.stolen_items),
-            static_cast<double>(out.drain.queue_wait_us) / 1000.0, speedup);
+  const RegexTiming rx = time_regex(shape, q, runs);
+  const double rx_speedup = rx.reference.mean_ms / rx.basic.mean_ms;
+  std::printf(
+      "regex over %zu tuples: matches_basic %.2f ms, matches_reference "
+      "%.2f ms (%.1fx), %zu / %zu matches\n\n",
+      rx.strings, rx.basic.mean_ms, rx.reference.mean_ms, rx_speedup,
+      rx.basic_matches, rx.reference_matches);
+  {
+    BenchRecord rec;
+    rec.config = "regex_fast_path";
+    rec.mean = rx.basic.mean_ms;
+    rec.min = rx.basic.min_ms;
+    rec.max = rx.basic.max_ms;
+    rec.counters = {
+        {"strings", static_cast<double>(rx.strings)},
+        {"basic_matches", static_cast<double>(rx.basic_matches)},
+        {"reference_matches", static_cast<double>(rx.reference_matches)},
+        {"reference_mean_ms", rx.reference.mean_ms},
+        {"reference_min_ms", rx.reference.min_ms},
+        {"reference_max_ms", rx.reference.max_ms},
+        {"regex_fast_path_speedup", rx_speedup},
+        {"hardware_threads", static_cast<double>(hw_threads)},
+    };
+    json.add(std::move(rec));
+    all_ok = all_ok && rx.basic_matches == rx.reference_matches;
+  }
 
-        BenchRecord rec;
-        rec.config = std::string(transport) + ",engine=" + engine +
-                     ",workers=" + std::to_string(workers);
-        rec.mean = out.wall.mean_ms;
-        rec.min = out.wall.min_ms;
-        rec.max = out.wall.max_ms;
-        rec.counters = {
-            {"workers", static_cast<double>(workers)},
-            {"legacy_engine", legacy ? 1.0 : 0.0},
-            {"results", static_cast<double>(out.results)},
-            {"speedup_vs_serial", speedup},
-            {"hardware_threads", static_cast<double>(hw_threads)},
-            {"steals", static_cast<double>(out.drain.steals)},
-            {"stolen_items", static_cast<double>(out.drain.stolen_items)},
-            {"queue_wait_us", static_cast<double>(out.drain.queue_wait_us)},
-            {"suppressed", static_cast<double>(out.drain.suppressed)},
-        };
-        if (out.has_net) {
-          rec.counters.push_back(
-              {"deref_messages", static_cast<double>(out.net.deref_messages)});
-          rec.counters.push_back(
-              {"result_messages",
-               static_cast<double>(out.net.result_messages)});
-          rec.counters.push_back(
-              {"messages_sent", static_cast<double>(out.net.messages_sent)});
-        }
-        json.add(std::move(rec));
-        all_ok = all_ok && out.ok;
+  std::printf("%-8s %-8s %12s %12s %10s %8s %8s %12s %10s\n", "net",
+              "workers", "mean(ms)", "min(ms)", "results", "steals", "stolen",
+              "wait(ms)", "speedup");
+  const std::size_t worker_counts[] = {0, 1, 2, 4, 8};
+
+  for (const char* transport : {"inproc", "tcp"}) {
+    double serial_mean = 0;  // workers=0 on this transport
+    for (std::size_t workers : worker_counts) {
+      const bool inproc = std::string(transport) == "inproc";
+      RunOutcome out = inproc ? run_inproc(shape, workers, q, runs)
+                              : run_tcp(shape, workers, q, runs);
+      if (!out.ok) {
+        std::printf("%-8s %-8zu %12s\n", transport, workers, "(skipped)");
+        continue;
       }
+      if (workers == 0) serial_mean = out.wall.mean_ms;
+      const double speedup =
+          serial_mean > 0 ? serial_mean / out.wall.mean_ms : 0;
+      std::printf(
+          "%-8s %-8zu %12.2f %12.2f %10zu %8llu %8llu %12.2f %9.2fx\n",
+          transport, workers, out.wall.mean_ms, out.wall.min_ms, out.results,
+          static_cast<unsigned long long>(out.drain.steals),
+          static_cast<unsigned long long>(out.drain.stolen_items),
+          static_cast<double>(out.drain.queue_wait_us) / 1000.0, speedup);
+
+      BenchRecord rec;
+      rec.config =
+          std::string(transport) + ",workers=" + std::to_string(workers);
+      rec.mean = out.wall.mean_ms;
+      rec.min = out.wall.min_ms;
+      rec.max = out.wall.max_ms;
+      rec.counters = {
+          {"workers", static_cast<double>(workers)},
+          {"results", static_cast<double>(out.results)},
+          {"expected_results", static_cast<double>(rx.hit_objects)},
+          {"speedup_vs_serial", speedup},
+          {"hardware_threads", static_cast<double>(hw_threads)},
+          {"steals", static_cast<double>(out.drain.steals)},
+          {"stolen_items", static_cast<double>(out.drain.stolen_items)},
+          {"queue_wait_us", static_cast<double>(out.drain.queue_wait_us)},
+          {"suppressed", static_cast<double>(out.drain.suppressed)},
+      };
+      if (out.has_net) {
+        rec.counters.push_back(
+            {"deref_messages", static_cast<double>(out.net.deref_messages)});
+        rec.counters.push_back(
+            {"result_messages", static_cast<double>(out.net.result_messages)});
+        rec.counters.push_back(
+            {"messages_sent", static_cast<double>(out.net.messages_sent)});
+      }
+      json.add(std::move(rec));
     }
   }
 

@@ -3,8 +3,8 @@
 // One store, many worker threads sharing the query's working set, mark
 // table, and result set. The paper notes strict locking is unnecessary —
 // duplicate processing can only create duplicate (deduplicated) answers —
-// and our engine exploits exactly that: objects are processed outside the
-// lock. This example runs the same closure query serially and with
+// and our engine exploits exactly that: marks are lock-free and objects are
+// processed without holding any lock. This example runs the same closure query serially and with
 // increasing worker counts, verifying identical results and reporting wall
 // time.
 #include <chrono>

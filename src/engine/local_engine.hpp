@@ -39,4 +39,10 @@ class LocalEngine {
   WorkSetDiscipline discipline_;
 };
 
+/// Run one execution to completion: validate its query, seed it from the
+/// initial set, drain it, and assemble the client-facing result. The one
+/// place a QueryResult is built from a SiteExecution (LocalEngine and
+/// ParallelEngine both finish here).
+Result<QueryResult> run_to_completion(SiteExecution& exec);
+
 }  // namespace hyperfile

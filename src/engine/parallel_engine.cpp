@@ -1,153 +1,13 @@
 #include "engine/parallel_engine.hpp"
 
-#include <array>
-#include <deque>
+#include <algorithm>
 #include <thread>
 
-#include "common/sync.hpp"
-#include "engine/mark_table.hpp"
+#include "engine/local_engine.hpp"
+#include "engine/parallel_execution.hpp"
+#include "engine/worker_pool.hpp"
 
 namespace hyperfile {
-namespace {
-
-/// Items a worker claims per queue-lock acquisition. Per-object filter work
-/// is a few microseconds, so single-item handoff would be mutex-bound;
-/// batching amortizes the lock while keeping load balance fine-grained.
-constexpr std::size_t kClaimBatch = 64;
-
-struct Shared {
-  explicit Shared(const Query& q) : marks(q.size()) {}
-
-  bool marked(const ObjectId& id, std::uint32_t index) const {
-    return marks.test(id, index);
-  }
-
-  void set_mark(const ObjectId& id, std::uint32_t index) {
-    marks.set(id, index);
-  }
-
-  // Work queue + termination accounting.
-  Mutex mu_q;
-  CondVar cv;
-  std::deque<WorkItem> work HF_GUARDED_BY(mu_q);
-  std::size_t active HF_GUARDED_BY(mu_q) = 0;
-  bool done HF_GUARDED_BY(mu_q) = false;
-
-  /// Lock-free marks (common/sync.hpp AtomicMarkMap): the paper's
-  /// observation that "it is not necessary to have a strict locking
-  /// mechanism" licenses the relaxed window between the pop-time guard and
-  /// the post-processing set — two workers may process the same object
-  /// concurrently, producing only duplicate (deduplicated) answers.
-  AtomicMarkTable marks;
-
-  // Result set.
-  Mutex mu_r;
-  std::unordered_set<ObjectId> result_members HF_GUARDED_BY(mu_r);
-  std::vector<ObjectId> result_ids HF_GUARDED_BY(mu_r);
-  std::set<std::tuple<std::uint32_t, ObjectId, Value>> retrieved_seen
-      HF_GUARDED_BY(mu_r);
-  std::vector<Retrieved> retrieved HF_GUARDED_BY(mu_r);
-
-  // Stats merged from workers at the end.
-  Mutex mu_s;
-  EngineStats stats HF_GUARDED_BY(mu_s);
-};
-
-void worker_loop(const Query& query, const SiteStore& store, Shared& sh) {
-  const std::uint32_t n = query.size();
-  EngineStats local;
-  std::vector<WorkItem> batch;
-  batch.reserve(kClaimBatch);
-  // Batch-lifetime scratch, reused so the hot loop stays allocation-free.
-  std::vector<ObjectId> survivors;
-  std::vector<WorkItem> children;
-  std::vector<Retrieved> captured;
-  EOutcome out;
-
-  for (;;) {
-    batch.clear();
-    {
-      MutexLock lock(sh.mu_q);
-      while (sh.work.empty() && !sh.done) sh.cv.wait(lock);
-      if (sh.done && sh.work.empty()) break;
-      while (!sh.work.empty() && batch.size() < kClaimBatch) {
-        batch.push_back(std::move(sh.work.front()));
-        sh.work.pop_front();
-      }
-      local.pops += batch.size();
-      ++sh.active;
-    }
-
-    // --- outside the queue lock ---
-    survivors.clear();
-    children.clear();
-    captured.clear();
-    EStats estats;
-    for (WorkItem& item : batch) {
-      // Pop-time guard (sharded lock; benign race with the post-set below).
-      if (sh.marked(item.id, item.start)) {
-        ++local.suppressed;
-        continue;
-      }
-      const Object* obj = store.get(item.id);
-      if (obj == nullptr) {
-        ++local.missing;
-        continue;
-      }
-      ++local.processed;
-      bool alive = true;
-      while (alive && item.next <= n) {
-        sh.set_mark(item.id, item.next);
-        ++local.filters_applied;
-        apply_filter(query, item, obj, out, &estats);
-        for (auto& c : out.derefs) children.push_back(std::move(c));
-        for (auto& r : out.retrieved) captured.push_back(std::move(r));
-        alive = out.alive;
-      }
-      if (alive) {
-        sh.set_mark(item.id, n + 1);
-        survivors.push_back(item.id);
-      }
-    }
-    local.tuples_scanned += estats.tuples_scanned;
-    local.derefs_followed += estats.derefs_followed;
-
-    if (!survivors.empty() || !captured.empty()) {
-      MutexLock lock(sh.mu_r);
-      for (const ObjectId& id : survivors) {
-        if (sh.result_members.insert(id).second) {
-          sh.result_ids.push_back(id);
-          ++local.results;
-        } else {
-          ++local.duplicate_results;
-        }
-      }
-      for (auto& r : captured) {
-        if (sh.retrieved_seen.emplace(r.slot, r.source, r.value).second) {
-          sh.retrieved.push_back(std::move(r));
-          ++local.retrieved_values;
-        }
-      }
-    }
-
-    {
-      MutexLock lock(sh.mu_q);
-      for (auto& c : children) sh.work.push_back(std::move(c));
-      --sh.active;
-      if (sh.work.empty() && sh.active == 0) {
-        sh.done = true;
-        sh.cv.notify_all();
-      } else if (!sh.work.empty()) {
-        sh.cv.notify_all();
-      }
-    }
-  }
-
-  MutexLock lock(sh.mu_s);
-  sh.stats += local;
-}
-
-}  // namespace
 
 ParallelEngine::ParallelEngine(const SiteStore& store, std::size_t workers)
     : store_(store),
@@ -155,57 +15,9 @@ ParallelEngine::ParallelEngine(const SiteStore& store, std::size_t workers)
                             : std::max(1u, std::thread::hardware_concurrency())) {}
 
 Result<QueryResult> ParallelEngine::run(const Query& query) const {
-  if (auto v = query.validate(); !v.ok()) return v.error();
-
-  Shared sh(query);
-
-  // Seed (serially) from the initial set.
-  std::vector<ObjectId> ids = query.initial_ids();
-  if (!query.initial_set_name().empty()) {
-    auto members = store_.set_members(query.initial_set_name());
-    if (!members.ok()) return members.error();
-    const auto& m = members.value();
-    ids.insert(ids.end(), m.begin(), m.end());
-  }
-  // Dedup at seed time: duplicate ids in the initial set (or a named set
-  // whose members repeat) must not become duplicate work items — the
-  // pop-time mark guard cannot suppress them once two workers hold both
-  // copies concurrently. The locks here and below are uncontended (no
-  // worker threads exist yet / all have joined); they are taken so the
-  // thread-safety analysis can verify the guarded accesses.
-  {
-    MutexLock lock(sh.mu_q);
-    std::unordered_set<ObjectId> seeded;
-    for (const ObjectId& id : ids) {
-      if (!seeded.insert(id).second) continue;
-      WorkItem item = WorkItem::initial(id);
-      normalize_iter_stack(query, item);
-      sh.work.push_back(std::move(item));
-    }
-    if (sh.work.empty()) sh.done = true;
-  }
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers_);
-  for (std::size_t i = 0; i < workers_; ++i) {
-    threads.emplace_back([&] { worker_loop(query, store_, sh); });
-  }
-  for (auto& t : threads) t.join();
-
-  QueryResult result;
-  {
-    MutexLock lock(sh.mu_r);
-    result.ids = std::move(sh.result_ids);
-    result.values = std::move(sh.retrieved);
-  }
-  result.slot_names = query.retrieve_slots();
-  result.count_only = query.count_only();
-  result.total_count = result.ids.size();
-  {
-    MutexLock lock(sh.mu_s);
-    result.stats = sh.stats;
-  }
-  return result;
+  WorkerPool pool(workers_);
+  ParallelExecution exec(query, store_, pool);
+  return run_to_completion(exec);
 }
 
 }  // namespace hyperfile

@@ -9,12 +9,13 @@
 // processing may create some duplicate answers, but not incorrect ones (due
 // to the set-based nature of the result)."
 //
-// This implementation shares the working set, mark table and result set
-// under one mutex, but deliberately performs object processing *outside*
-// the lock and applies an item's marks only after its pass completes —
-// so two workers may indeed process the same object concurrently, exactly
-// the benign race the paper describes. The result set deduplicates, so the
-// outcome equals the serial engine's (property-tested).
+// The standalone face of ParallelExecution (engine/parallel_execution.hpp),
+// the same drain a multi-worker SiteServer runs: each run() creates a
+// WorkerPool, seeds one ParallelExecution from the initial set and drains it
+// to completion. Marks are lock-free, so two workers may process the same
+// object concurrently — exactly the benign race the paper describes. The
+// result set deduplicates, so the outcome equals the serial engine's
+// (property-tested).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +30,7 @@ class ParallelEngine {
   /// `workers` == 0 selects std::thread::hardware_concurrency().
   explicit ParallelEngine(const SiteStore& store, std::size_t workers = 0);
 
+  /// Safe to call concurrently: every run owns its pool and execution.
   Result<QueryResult> run(const Query& query) const;
 
   std::size_t workers() const { return workers_; }

@@ -14,6 +14,19 @@ namespace {
 /// stays stealable instead of clumping into one worker's batch.
 constexpr std::size_t kClaimBatch = 64;
 
+/// Whether the order in which arrivals of an object are processed can change
+/// the answer: a bounded iterator falls through once an arrival's chain is
+/// long enough, and the (object, filter) marks let only the first arrival
+/// through. Without one, every arrival of an object at a filter behaves the
+/// same and any order gives the serial answer.
+bool order_sensitive(const Query& q) {
+  for (std::uint32_t i = 1; i <= q.size(); ++i) {
+    const auto* it = std::get_if<IterateFilter>(&q.filter(i));
+    if (it != nullptr && !it->unbounded()) return true;
+  }
+  return false;
+}
+
 std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -29,6 +42,8 @@ ParallelExecution::ParallelExecution(const Query& query, const SiteStore& store,
       store_(store),
       options_(std::move(options)),
       pool_(pool),
+      by_level_(options_.discipline == WorkSetDiscipline::kFifo &&
+                order_sensitive(query_)),
       amarks_(query_.size()) {
   queues_.reserve(pool_.size());
   scratch_.reserve(pool_.size());
@@ -119,18 +134,22 @@ std::size_t ParallelExecution::pending() const {
 }
 
 void ParallelExecution::drain() {
-  if (pending() == 0) return;
-  {
-    MutexLock lock(mu_pass_);
-    pass_done_ = false;
-    idle_workers_ = 0;
+  // One pass per breadth-first level when by_level_; otherwise children go
+  // straight back to the queues and the first pass drains everything.
+  while (pending() != 0) {
+    {
+      MutexLock lock(mu_pass_);
+      pass_done_ = false;
+      idle_workers_ = 0;
+    }
+    // hfverify: allow-role(worker-dispatch): the lambda runs on pool
+    // threads; drain() only launches the pass.
+    // hfverify: allow-blocking(pool-join): drain() is the one sanctioned
+    // blocking point of the loop — it must not return before W is empty.
+    pool_.run([this](std::size_t w) { worker_pass(w); });
+    promote_next_level();
   }
-  // hfverify: allow-role(worker-dispatch): the lambda runs on pool
-  // threads; drain() only launches the pass.
-  // hfverify: allow-blocking(pool-join): drain() is the one sanctioned
-  // blocking point of the loop — it must not return before W is empty.
-  pool_.run([this](std::size_t w) { worker_pass(w); });
-  loop_pending_ = 0;  // the join guarantees every queue drained
+  loop_pending_ = 0;  // the joins guarantee every queue drained
   // Workers have joined: W is empty and nothing is in flight. Flush the
   // side-effects they could not perform themselves, on this (event-loop)
   // thread, *before* returning — the caller sends results and releases
@@ -152,6 +171,16 @@ void ParallelExecution::drain() {
   }
 }
 
+void ParallelExecution::promote_next_level() {
+  for (std::size_t w = 0; w < queues_.size(); ++w) {
+    std::vector<WorkItem>& next = scratch_[w]->next_level;
+    if (next.empty()) continue;
+    MutexLock lock(queues_[w]->mu);
+    for (WorkItem& item : next) queues_[w]->dq.push_back(std::move(item));
+    next.clear();
+  }
+}
+
 std::size_t ParallelExecution::claim_own(std::size_t w,
                                          std::vector<WorkItem>& batch) {
   WorkerQueue& q = *queues_[w];
@@ -159,8 +188,8 @@ std::size_t ParallelExecution::claim_own(std::size_t w,
   // ahead of older items exactly as the serial WorkSet does, which batch
   // claiming would break (batch[1] would run before batch[0]'s children).
   // Claim one item at a time there — the queue lock is uncontended with no
-  // thieves around. FIFO order is batch-insensitive, and with multiple
-  // workers no inter-item order is promised at all.
+  // thieves around. FIFO order is batch-insensitive; with multiple workers
+  // only by_level_ promises an order (breadth-first levels).
   const std::size_t limit =
       (options_.discipline == WorkSetDiscipline::kLifo && queues_.size() == 1)
           ? 1
@@ -222,6 +251,10 @@ void ParallelExecution::worker_pass(std::size_t w) {
   const std::size_t nq = queues_.size();
   EngineStats local;
   WorkerScratch& s = *scratch_[w];
+  // by_level_: children wait for the next pass (the next breadth-first
+  // level); otherwise they go back onto this worker's queue after each batch.
+  std::vector<WorkItem>& children =
+      by_level_ ? s.next_level : s.local_children;
 
   for (;;) {
     s.batch.clear();
@@ -280,7 +313,7 @@ void ParallelExecution::worker_pass(std::size_t w) {
           const bool child_local =
               !options_.is_local || options_.is_local(child.id);
           if (child_local) {
-            s.local_children.push_back(std::move(child));
+            children.push_back(std::move(child));
           } else {
             ++local.remote_handoffs;
             s.remote_children.push_back(std::move(child));
@@ -348,6 +381,8 @@ void ParallelExecution::worker_pass(std::size_t w) {
     }
   }
 
+  local.max_working_set =
+      std::max<std::uint64_t>(local.max_working_set, s.next_level.size());
   metrics().counter("engine.steals").inc(local.steals);
   metrics().counter("engine.stolen_items").inc(local.stolen_items);
   metrics().counter("engine.queue_wait_us").inc(local.queue_wait_us);

@@ -9,8 +9,8 @@
 // the same document. Duplicate processing may create some duplicate answers,
 // but not incorrect ones."
 //
-// This is the scalable drain (DESIGN.md §14); the pre-overhaul engine it
-// replaced survives as engine/legacy_drain.hpp for old-vs-new measurement.
+// This is the scalable drain (DESIGN.md §14), and the only parallel one: a
+// multi-worker SiteServer and the standalone ParallelEngine both run it.
 // What makes it scale:
 //   * Lock-free marks — one AtomicMarkTable (common/sync.hpp) instead of
 //     mutex-guarded shards; marked/set_mark are a relaxed atomic load /
@@ -25,7 +25,7 @@
 //     child/survivor buffers) reused across batches; apply_filter fills an
 //     out-param instead of returning fresh vectors.
 //
-// Division of labour (unchanged from the old engine):
+// Division of labour:
 //   * The site event-loop thread owns messaging, store writes, and
 //     termination accounting. It calls seed_*/add_item/drain/take_* exactly
 //     as it would on the serial QueryExecution; seeds are dealt round-robin
@@ -42,6 +42,16 @@
 // every victim's queue empty; the pass ends when all workers are parked.
 // Only a queue's owner ever pushes to it, so "owner parked" means "queue
 // permanently empty" — all parked therefore implies no work anywhere.
+//
+// Under a bounded iterator an arrival's iteration count decides whether it
+// loops back or falls through, and the (object, filter) marks let only the
+// first arrival of an object through, so the answer depends on which arrival
+// comes first. For such queries kFifo drains breadth-first level by level,
+// one pass per level: a worker keeps the children it dereferences in its
+// scratch, and drain() promotes them to the queues after the pass joins.
+// Every object is then first processed at its shallowest arrival, as in the
+// serial FIFO drain, and the answer is the serial one. Other queries give
+// the same answer in any order and drain in one pass.
 //
 // With one worker the engine is serial-observable: a single queue, owner
 // pops front (kFifo) or back (kLifo), children append in dereference order —
@@ -104,6 +114,8 @@ class ParallelExecution : public SiteExecution {
     std::vector<ObjectId> missing_here;
     std::vector<ObjectId> survivors;
     std::vector<Retrieved> captured;
+    /// by_level_: this worker's children, the next breadth-first level.
+    std::vector<WorkItem> next_level;
     EOutcome out;
   };
 
@@ -116,6 +128,9 @@ class ParallelExecution : public SiteExecution {
   /// Push one item onto a worker queue from the event-loop thread (between
   /// passes: uncontended) and keep the depth gauges fresh.
   HF_EVENT_LOOP_ONLY void push_from_loop(WorkItem&& item);
+  /// Between by_level_ passes: move every worker's next_level into its
+  /// queue.
+  HF_EVENT_LOOP_ONLY void promote_next_level();
 
   /// Claim up to kClaimBatch items from worker `w`'s own queue, honoring
   /// the discipline order. Returns the number claimed.
@@ -134,11 +149,13 @@ class ParallelExecution : public SiteExecution {
   const SiteStore& store_;
   ExecutionOptions options_;
   WorkerPool& pool_;
+  /// kFifo and a bounded iterator: drain one breadth-first level per pass.
+  const bool by_level_;
 
   /// One queue per pool worker, created once in the constructor.
   std::vector<std::unique_ptr<WorkerQueue>> queues_;  // ctor-only
   /// Per-worker scratch buffers, index-aligned with queues_. Touched only
-  /// by the owning worker during a pass.
+  /// by the owning worker during a pass (and by drain() between passes).
   std::vector<std::unique_ptr<WorkerScratch>> scratch_;  // ctor-only
 
   // Pass-termination accounting. Touched once per batch (pushers checking

@@ -98,11 +98,11 @@ class Pattern {
     return matches_basic(std::string_view(s));
   }
 
-  /// The pre-fast-path generic matcher: literal patterns compare Values,
-  /// regex patterns always run std::regex_search. Semantically identical to
-  /// matches_basic — kept callable so the legacy drain baseline
-  /// (engine/legacy_drain.hpp) measures the old cost and so tests can assert
-  /// fast path == reference on arbitrary inputs.
+  /// The generic matcher without the fast path: literal patterns compare
+  /// Values, regex patterns always run std::regex_search. Semantically
+  /// identical to matches_basic and called by no engine. It is the oracle:
+  /// tests assert fast path == reference on arbitrary inputs, and
+  /// bench_parallel_site times matches_basic against it.
   bool matches_reference(const Value& v) const;
 
   RegexFastPath fast_path() const { return fast_; }

@@ -2,12 +2,41 @@
 // the iteration-stack normalization — below the engine's Figure 3 loop.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "engine/efunction.hpp"
 #include "query/builder.hpp"
 #include "query/parser.hpp"
 
+// Counts every global operator new in this binary, so tests can assert
+// that a code path does not allocate.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+// The replacement operator new above is malloc-based, so free() matches it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace hyperfile {
 namespace {
+
+std::size_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 Query closure_q() {
   return parse_query(
@@ -216,6 +245,47 @@ TEST(EFunction, UseSeesBindingsFromEarlierTupleInSameFilter) {
   // F2 matched all three tuples (the Author tuple itself also has data bob),
   // binding their keys: A = {bob, Author, alice, x}.
   EXPECT_EQ(item.mvars.lookup("A")->size(), 4u);
+}
+
+TEST(EFunction, WarmSelectionDoesNotAllocate) {
+  // The drains' hot loop: selections over a matching and a failing object,
+  // through one long-lived EOutcome. Covers an exact regex (fast path), a
+  // literal and `?` in every field position.
+  Query q = parse_query(
+                R"(S (?, "Text", /^needle42$/) (string, "Name", "doc") (keyword, "k", ?) -> T)")
+                .value();
+  ASSERT_EQ(std::get<SelectFilter>(q.filter(1)).data_pattern.fast_path(),
+            RegexFastPath::kExact);
+  Object hit(ObjectId(0, 1));
+  hit.add(Tuple::string("Text", "haystack"));
+  hit.add(Tuple::string("Text", "needle42"));
+  hit.add(Tuple::string("Name", "doc"));
+  hit.add(Tuple::keyword("k"));
+  Object miss(ObjectId(0, 2));
+  miss.add(Tuple::string("Text", "needle42 and more"));
+  miss.add(Tuple::string("Name", "other"));
+  miss.add(Tuple::keyword("j"));
+
+  WorkItem item = item_at(1, q);
+  EOutcome out;
+  std::size_t passed = 0;
+  auto pass_all = [&] {
+    for (const Object* obj : {&hit, &miss}) {
+      for (std::uint32_t f = 1; f <= q.size(); ++f) {
+        item.start = item.next = f;
+        apply_filter(q, item, obj, out);
+        passed += out.alive ? 1 : 0;
+      }
+    }
+  };
+  pass_all();  // warm
+  passed = 0;
+  const std::size_t before = allocations();
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 200; ++i) pass_all();
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(passed, 3u * 200u * 3u);  // `hit` passes all three, `miss` none
 }
 
 TEST(NormalizeIterStack, PushesAndPopsToNestingDepth) {

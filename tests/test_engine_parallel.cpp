@@ -128,6 +128,43 @@ TEST(ParallelEngine, SeedsDedupedAcrossExplicitIdsAndNamedSet) {
   EXPECT_EQ(r.value().stats.pops, 1u);
 }
 
+TEST(ParallelEngine, BoundedIteratorMatchesSerialBreadthFirst) {
+  // Under a bounded iterator an arrival's iteration count decides whether
+  // it loops back or falls through, and the marks let only the first
+  // arrival of an object through. `y` is reachable at depth 1 from `a`
+  // (loops back, then dies: no "Ref") and at depth 2 via b -> c (falls
+  // through, has the keyword). The serial FIFO drain meets it at depth 1
+  // first, so `y` is no result; a worker racing down b -> c while `y` still
+  // waits behind `a`'s 400 other children must not make it one.
+  SiteStore store(0);
+  const ObjectId a = store.allocate(), b = store.allocate(),
+                 c = store.allocate(), y = store.allocate();
+  Object oa(a);
+  oa.add(Tuple::keyword("alpha"));
+  for (int i = 0; i < 400; ++i) {
+    oa.add(Tuple::pointer("Ref", store.put(Object(store.allocate()))));
+  }
+  oa.add(Tuple::pointer("Ref", y));
+  store.put(std::move(oa));
+  store.put(Object(b, {Tuple::pointer("Ref", c)}));
+  store.put(Object(c, {Tuple::pointer("Ref", y)}));
+  store.put(Object(y, {Tuple::keyword("alpha")}));
+  const ObjectId seeds[] = {a, b};
+  store.create_set("S", seeds);
+  Query q = parse_or_die(
+      R"(S [ (pointer, "Ref", ?X) | ^^X ]3 (keyword, "alpha", ?) -> T)");
+
+  auto rs = LocalEngine(store).run_readonly(q);
+  ASSERT_TRUE(rs.ok());
+  ASSERT_EQ(rs.value().ids, std::vector<ObjectId>{a});
+  ParallelEngine par(store, 4);
+  for (int run = 0; run < 10; ++run) {
+    auto rp = par.run(q);
+    ASSERT_TRUE(rp.ok());
+    EXPECT_EQ(rp.value().ids, std::vector<ObjectId>{a}) << "run " << run;
+  }
+}
+
 TEST(ParallelEngine, InvalidQueryRejected) {
   SiteStore store(0);
   ParallelEngine par(store, 2);

@@ -213,11 +213,10 @@ void populate_random_graph(std::uint64_t seed, std::size_t sites,
 }
 
 GraphObservation run_inproc(std::uint64_t seed, std::size_t workers,
-                            TerminationAlgorithm algo, bool legacy = false) {
+                            TerminationAlgorithm algo) {
   SiteServerOptions options;
   options.drain_workers = workers;
   options.termination = algo;
-  options.legacy_drain = legacy;
   Cluster cluster(3, options);
   populate_random_graph(seed, 3,
                         [&](std::size_t s) -> SiteStore& { return cluster.store(s); });
@@ -254,27 +253,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(11u, 12u, 13u, 14u, 15u, 16u),
         ::testing::Values(TerminationAlgorithm::kWeightedMessages,
                           TerminationAlgorithm::kDijkstraScholten)));
-
-// --- old engine vs new engine ----------------------------------------------
-
-TEST(ParallelDrain, LegacyAndCurrentEnginesAgree) {
-  // Differential check against the frozen pre-overhaul engine
-  // (engine/legacy_drain.hpp, the bench baseline): same graphs, same
-  // answers, serial and parallel — the perf work is behavior-preserving.
-  for (std::uint64_t seed : {61u, 62u, 63u}) {
-    for (std::size_t workers : {0u, 4u}) {
-      GraphObservation legacy = run_inproc(
-          seed, workers, TerminationAlgorithm::kWeightedMessages, true);
-      GraphObservation current = run_inproc(
-          seed, workers, TerminationAlgorithm::kWeightedMessages, false);
-      ASSERT_FALSE(legacy.ids.empty());
-      EXPECT_EQ(current.ids, legacy.ids)
-          << "seed=" << seed << " workers=" << workers;
-      EXPECT_EQ(current.names, legacy.names)
-          << "seed=" << seed << " workers=" << workers;
-    }
-  }
-}
 
 // --- the same property over real TCP sockets -------------------------------
 
