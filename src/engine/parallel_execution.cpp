@@ -175,8 +175,9 @@ void ParallelExecution::promote_next_level() {
   for (std::size_t w = 0; w < queues_.size(); ++w) {
     std::vector<WorkItem>& next = scratch_[w]->next_level;
     if (next.empty()) continue;
-    MutexLock lock(queues_[w]->mu);
-    for (WorkItem& item : next) queues_[w]->dq.push_back(std::move(item));
+    WorkerQueue& q = *queues_[w];
+    MutexLock lock(q.mu);
+    for (WorkItem& item : next) q.dq.push_back(std::move(item));
     next.clear();
   }
 }
