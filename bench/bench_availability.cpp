@@ -5,7 +5,7 @@
 // primary with no goodbye, and keeps the workload running through
 // suspicion, failover, and revival.
 //
-// Cells are backend × termination detector × {replicated, control}. The
+// Cells are termination detector × {replicated, control}. The
 // control rows (replication off) show the baseline this PR replaces:
 // every post-kill query is permanently partial until the primary comes
 // back. The replicated rows are the gated product: queries keep
@@ -20,15 +20,18 @@
 //                ids, or an unflagged shortfall. Must stay 0 forever.
 //   * failed   — client error or timeout (a hang). Must stay 0.
 //
-// Headline number per record is failover_ms: kill → first exact answer
-// served while the primary is still dead (-1 when none was, which is
-// the expected shape of the control rows). revived_ms is restart →
-// first exact answer with no failover hop in its trace (routing
-// reclaimed).
+// Headline number per record is failover_ms (mean = min = max: one kill
+// per cell): kill → first exact answer served while the primary is still
+// dead (-1 when none was, which is the expected shape of the control
+// rows). revived_ms is restart → first exact answer with no failover hop
+// in its trace (routing reclaimed). Query latencies sit in the counters
+// (p50_ms, p95_ms, max_ms), next to the suspect_after_ms and
+// context_ttl_ms windows they are judged against.
 //
 // tools/check_bench_availability.py gates the artifact in CI: zero
-// wrong results in every cell, and ≥99% of queries in every replicated
-// cell completing exact-or-partial.
+// wrong results in every cell, ≥99% of queries in every replicated
+// cell completing exact-or-partial, failover faster than the silence
+// window, and no query waiting out the context TTL.
 //
 // Emits BENCH_availability.json (override with --json <path>).
 #include <algorithm>
@@ -43,7 +46,7 @@
 #include "bench_util.hpp"
 #include "dist/client.hpp"
 #include "dist/site_server.hpp"
-#include "net/transport.hpp"
+#include "net/epoll.hpp"
 #include "query/parser.hpp"
 
 using namespace hyperfile;
@@ -115,12 +118,10 @@ struct Deployment {
   std::vector<ObjectId> want;
   std::vector<TcpPeer> peers;
   SiteServerOptions options;
-  TcpBackend backend;
   bool ok = false;
 
-  Deployment(TcpBackend backend_in, TerminationAlgorithm algo,
-             const std::string& wal_dir, bool replicated)
-      : backend(backend_in) {
+  Deployment(TerminationAlgorithm algo, const std::string& wal_dir,
+             bool replicated) {
     options.termination = algo;
     options.context_ttl = Duration(400'000);
     options.retry_backoff = Duration(100);
@@ -134,9 +135,9 @@ struct Deployment {
     }
 
     std::vector<TcpPeer> zeros(kSites + 1, TcpPeer{"127.0.0.1", 0});
-    std::vector<std::unique_ptr<SocketTransport>> nets;
+    std::vector<std::unique_ptr<EpollNetwork>> nets;
     for (SiteId s = 0; s <= kSites; ++s) {
-      auto net = make_socket_transport(backend, s, zeros);
+      auto net = EpollNetwork::create(s, zeros);
       if (!net.ok()) return;  // no sockets in this environment
       nets.push_back(std::move(net).value());
     }
@@ -185,7 +186,7 @@ struct Deployment {
 
   /// Rebind the site's port; the fresh server recovers from its WAL.
   Result<void> restart(SiteId site) {
-    auto net = make_socket_transport(backend, site, peers);
+    auto net = EpollNetwork::create(site, peers);
     if (!net.ok()) return net.error();
     servers[site] = std::make_unique<SiteServer>(std::move(net).value(),
                                                  SiteStore(site), options);
@@ -205,15 +206,14 @@ const char* algo_name(TerminationAlgorithm a) {
                                                       : "dijkstra_scholten";
 }
 
-bool run_cell(JsonSink& sink, TcpBackend backend, TerminationAlgorithm algo,
-              bool replicated, const Query& q) {
-  const std::string label = std::string(to_string(backend)) + "," +
-                            algo_name(algo) + "," +
+bool run_cell(JsonSink& sink, TerminationAlgorithm algo, bool replicated,
+              const Query& q) {
+  const std::string label = std::string("epoll,") + algo_name(algo) + "," +
                             (replicated ? "interval=5ms" : "no_replica");
   std::filesystem::path wal_dir =
       std::filesystem::temp_directory_path() /
-      ("hf_avail_" + std::to_string(static_cast<int>(backend)) + "_" +
-       std::to_string(static_cast<int>(algo)) + (replicated ? "_r" : "_n"));
+      ("hf_avail_" + std::to_string(static_cast<int>(algo)) +
+       (replicated ? "_r" : "_n"));
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
 
@@ -223,14 +223,21 @@ bool run_cell(JsonSink& sink, TcpBackend backend, TerminationAlgorithm algo,
   Tally t;
   double failover_ms = 0;
   double revived_ms = 0;
+  double suspect_after_ms = 0;
+  double context_ttl_ms = 0;
   {
-    Deployment d(backend, algo, wal_dir.string(), replicated);
+    Deployment d(algo, wal_dir.string(), replicated);
     if (!d.ok) {
       std::fprintf(stderr, "%s: no localhost sockets, skipping\n",
                    label.c_str());
       std::filesystem::remove_all(wal_dir);
       return true;
     }
+    const auto to_ms = [](Duration d) {
+      return std::chrono::duration<double, std::milli>(d).count();
+    };
+    suspect_after_ms = to_ms(d.options.suspect_after);
+    context_ttl_ms = to_ms(d.options.context_ttl);
 
     auto phase = [&](const char* why, auto&& until) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -314,8 +321,8 @@ bool run_cell(JsonSink& sink, TcpBackend backend, TerminationAlgorithm algo,
   BenchRecord rec;
   rec.config = label;
   rec.mean = failover_ms;
-  rec.min = percentile(t.latencies_ms, 0.50);
-  rec.max = percentile(t.latencies_ms, 1.0);
+  rec.min = failover_ms;
+  rec.max = failover_ms;
   rec.unit = "failover_ms";
   rec.counters = {
       {"replicated", replicated ? 1.0 : 0.0},
@@ -330,16 +337,18 @@ bool run_cell(JsonSink& sink, TcpBackend backend, TerminationAlgorithm algo,
       {"p50_ms", percentile(t.latencies_ms, 0.50)},
       {"p95_ms", percentile(t.latencies_ms, 0.95)},
       {"max_ms", percentile(t.latencies_ms, 1.0)},
+      {"suspect_after_ms", suspect_after_ms},
+      {"context_ttl_ms", context_ttl_ms},
       {"failovers",
        metrics().counter("dist.failovers").value() - failovers_before},
   };
   sink.add(rec);
   std::printf(
       "%-36s failover=%7.1fms revived=%7.1fms  exact=%ld partial=%ld "
-      "wrong=%ld failed=%ld  p50=%.2fms p95=%.2fms\n",
+      "wrong=%ld failed=%ld  p50=%.2fms p95=%.2fms max=%.2fms\n",
       label.c_str(), failover_ms, revived_ms, t.exact, t.partial, t.wrong,
       t.failed, percentile(t.latencies_ms, 0.50),
-      percentile(t.latencies_ms, 0.95));
+      percentile(t.latencies_ms, 0.95), percentile(t.latencies_ms, 1.0));
 
   // The bench itself refuses to bless a wrong or hung answer; the JSON
   // gate in tools/check_bench_availability.py re-checks the artifact.
@@ -356,13 +365,10 @@ int main(int argc, char** argv) {
 
   const Query q = bench_query();
   bool ok = true;
-  for (TcpBackend backend : {TcpBackend::kThreaded, TcpBackend::kEpoll}) {
-    for (TerminationAlgorithm algo :
-         {TerminationAlgorithm::kWeightedMessages,
-          TerminationAlgorithm::kDijkstraScholten}) {
-      for (bool replicated : {false, true}) {
-        ok = run_cell(sink, backend, algo, replicated, q) && ok;
-      }
+  for (TerminationAlgorithm algo : {TerminationAlgorithm::kWeightedMessages,
+                                     TerminationAlgorithm::kDijkstraScholten}) {
+    for (bool replicated : {false, true}) {
+      ok = run_cell(sink, algo, replicated, q) && ok;
     }
   }
   if (!sink.write()) return 1;

@@ -31,7 +31,7 @@
 
 #include "bench_util.hpp"
 #include "dist/cluster.hpp"
-#include "net/tcp.hpp"
+#include "net/epoll.hpp"
 #include "query/parser.hpp"
 
 using namespace hyperfile;
@@ -173,9 +173,9 @@ RunOutcome run_tcp(const WorkloadShape& shape, std::size_t workers,
   RunOutcome out;
 
   std::vector<TcpPeer> zeros(kSites + 1, TcpPeer{"127.0.0.1", 0});
-  std::vector<std::unique_ptr<TcpNetwork>> nets;
+  std::vector<std::unique_ptr<EpollNetwork>> nets;
   for (SiteId s = 0; s <= kSites; ++s) {
-    auto net = TcpNetwork::create(s, zeros);
+    auto net = EpollNetwork::create(s, zeros);
     if (!net.ok()) {
       out.ok = false;  // no localhost sockets in this environment
       return out;

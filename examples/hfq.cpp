@@ -14,7 +14,7 @@
 #include <sstream>
 
 #include "dist/client.hpp"
-#include "net/tcp.hpp"
+#include "net/epoll.hpp"
 #include "query/parser.hpp"
 
 using namespace hyperfile;
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   // return route from our connection.
   std::random_device rd;
   const SiteId client_id = 1'000'000 + (rd() % 1'000'000);
-  auto net = TcpNetwork::create(client_id, peers.value());
+  auto net = EpollNetwork::create(client_id, peers.value());
   if (!net.ok()) {
     std::fprintf(stderr, "%s\n", net.error().to_string().c_str());
     return 1;

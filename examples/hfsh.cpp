@@ -39,7 +39,7 @@
 #include "dist/client.hpp"
 #include "engine/local_engine.hpp"
 #include "index/explain.hpp"
-#include "net/tcp.hpp"
+#include "net/epoll.hpp"
 #include "query/parser.hpp"
 #include "query/rewrite.hpp"
 #include "store/gc.hpp"
@@ -292,7 +292,7 @@ void Shell::cmd_connect(const std::vector<std::string>& args) {
   const SiteId at =
       args.size() >= 3 ? static_cast<SiteId>(std::stoul(args[2])) : 0;
   std::random_device rd;
-  auto net = TcpNetwork::create(1'000'000 + (rd() % 1'000'000), peers);
+  auto net = EpollNetwork::create(1'000'000 + (rd() % 1'000'000), peers);
   if (!net.ok()) {
     std::printf("connect failed: %s\n", net.error().to_string().c_str());
     return;

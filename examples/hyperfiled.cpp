@@ -30,7 +30,7 @@
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "dist/site_server.hpp"
-#include "net/transport.hpp"
+#include "net/epoll.hpp"
 #include "store/snapshot.hpp"
 #include "workload/paper_workload.hpp"
 
@@ -90,8 +90,7 @@ int cmd_init(const std::string& config_path, const std::string& dir,
 int cmd_serve(SiteId site, const std::string& config_path,
               const std::string& snapshot_path, std::size_t workers,
               const std::string& metrics_json_path, const std::string& wal_dir,
-              long checkpoint_secs, TcpBackend backend,
-              long replicate_ring_ms) {
+              long checkpoint_secs, long replicate_ring_ms) {
   auto peers = read_config(config_path);
   if (!peers.ok()) {
     std::fprintf(stderr, "%s\n", peers.error().to_string().c_str());
@@ -118,14 +117,14 @@ int cmd_serve(SiteId site, const std::string& config_path,
     store = std::move(loaded).value();
   }
 
-  auto net = make_socket_transport(backend, site, peers.value());
+  auto net = EpollNetwork::create(site, peers.value());
   if (!net.ok()) {
     std::fprintf(stderr, "%s\n", net.error().to_string().c_str());
     return 1;
   }
-  std::printf("hyperfiled: site %u on %s:%u (%s transport), %zu objects, sets:",
-              site, peers.value()[site].host.c_str(), net.value()->bound_port(),
-              to_string(backend), store.size());
+  std::printf("hyperfiled: site %u on %s:%u, %zu objects, sets:", site,
+              peers.value()[site].host.c_str(), net.value()->bound_port(),
+              store.size());
   for (const auto& name : store.set_names()) std::printf(" %s", name.c_str());
   std::printf("\n");
 
@@ -205,7 +204,6 @@ int main(int argc, char** argv) {
     std::string wal_dir;
     long checkpoint_secs = 0;
     long replicate_ring_ms = 0;
-    TcpBackend backend = TcpBackend::kThreaded;
     for (int i = 4; i < argc; ++i) {
       if (std::string(argv[i]) == "--workers" && i + 1 < argc) {
         char* end = nullptr;
@@ -219,14 +217,6 @@ int main(int argc, char** argv) {
         metrics_json = argv[++i];
       } else if (std::string(argv[i]) == "--wal-dir" && i + 1 < argc) {
         wal_dir = argv[++i];
-      } else if (std::string(argv[i]) == "--transport" && i + 1 < argc) {
-        auto parsed = parse_tcp_backend(argv[++i]);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "--transport expects threaded|epoll, got '%s'\n",
-                       argv[i]);
-          return 1;
-        }
-        backend = parsed.value();
       } else if (std::string(argv[i]) == "--checkpoint-interval" &&
                  i + 1 < argc) {
         char* end = nullptr;
@@ -254,15 +244,14 @@ int main(int argc, char** argv) {
     }
     return cmd_serve(static_cast<SiteId>(std::stoul(argv[2])), argv[3],
                      snapshot, workers, metrics_json, wal_dir,
-                     checkpoint_secs, backend, replicate_ring_ms);
+                     checkpoint_secs, replicate_ring_ms);
   }
   std::printf(
       "hyperfiled — standalone HyperFile TCP site server\n"
       "  hyperfiled init CONFIG DIR [objects]     generate workload snapshots\n"
       "  hyperfiled serve SITE_ID CONFIG [SNAP] [--workers N]\n"
       "                  [--metrics-json PATH] [--wal-dir DIR]\n"
-      "                  [--checkpoint-interval SECS] [--transport NAME]\n"
-      "                  [--replicate-ring MS]\n"
+      "                  [--checkpoint-interval SECS] [--replicate-ring MS]\n"
       "                                           run one site; --workers N\n"
       "                                           drains queries on N threads;\n"
       "                                           --metrics-json dumps the\n"
@@ -271,8 +260,6 @@ int main(int argc, char** argv) {
       "                                           durable (WAL + recovery);\n"
       "                                           --checkpoint-interval takes\n"
       "                                           online checkpoints;\n"
-      "                                           --transport threaded|epoll\n"
-      "                                           picks the socket backend;\n"
       "                                           --replicate-ring MS ships\n"
       "                                           each site's WAL to the next\n"
       "                                           site every MS milliseconds\n"

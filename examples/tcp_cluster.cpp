@@ -11,33 +11,22 @@
 
 #include "dist/client.hpp"
 #include "dist/site_server.hpp"
-#include "net/transport.hpp"
+#include "net/epoll.hpp"
 #include "query/parser.hpp"
 #include "workload/paper_workload.hpp"
 
 using namespace hyperfile;
 
-int main(int argc, char** argv) {
+int main() {
   constexpr std::size_t kSites = 3;
   constexpr SiteId kClient = kSites;
-
-  // `tcp_cluster [threaded|epoll]` — same deployment, either socket backend.
-  TcpBackend backend = TcpBackend::kThreaded;
-  if (argc > 1) {
-    auto parsed = parse_tcp_backend(argv[1]);
-    if (!parsed.ok()) {
-      std::printf("usage: tcp_cluster [threaded|epoll]\n");
-      return 1;
-    }
-    backend = parsed.value();
-  }
 
   // Bind everyone on ephemeral ports, then exchange the real addresses
   // (in a real deployment this is the static site configuration).
   std::vector<TcpPeer> zeros(kSites + 1, TcpPeer{"127.0.0.1", 0});
-  std::vector<std::unique_ptr<SocketTransport>> nets;
+  std::vector<std::unique_ptr<EpollNetwork>> nets;
   for (SiteId s = 0; s <= kSites; ++s) {
-    auto net = make_socket_transport(backend, s, zeros);
+    auto net = EpollNetwork::create(s, zeros);
     if (!net.ok()) {
       std::printf("cannot create TCP endpoint: %s\n",
                   net.error().to_string().c_str());
@@ -50,7 +39,6 @@ int main(int argc, char** argv) {
       net->update_peer(peer, {"127.0.0.1", nets[peer]->bound_port()});
     }
   }
-  std::printf("transport: %s\n", to_string(backend));
   std::printf("TCP endpoints: ");
   for (SiteId s = 0; s <= kSites; ++s) {
     std::printf("%s%u@127.0.0.1:%u", s != 0 ? ", " : "", s,

@@ -4,6 +4,14 @@
 
 namespace hyperfile {
 
+bool Client::request_lost(SiteId server) {
+  bool lost = false;
+  for (const PeerEvent& ev : endpoint_->take_peer_events()) {
+    lost |= ev.peer == server && !ev.up;
+  }
+  return lost;
+}
+
 Result<QueryResult> Client::run_at(SiteId server, const Query& query,
                                    Duration timeout) {
   if (auto v = query.validate(); !v.ok()) return v.error();
@@ -12,6 +20,7 @@ Result<QueryResult> Client::run_at(SiteId server, const Query& query,
   wire::ClientRequest req;
   req.client_seq = seq;
   req.query = query;
+  (void)endpoint_->take_peer_events();  // outages before this request
   if (auto r = endpoint_->send(server, std::move(req)); !r.ok()) return r.error();
 
   const auto deadline = std::chrono::steady_clock::now() +
@@ -26,7 +35,14 @@ Result<QueryResult> Client::run_at(SiteId server, const Query& query,
     const auto remaining =
         std::chrono::duration_cast<std::chrono::microseconds>(deadline - now);
     auto env = endpoint_->recv(Duration(remaining.count()));
-    if (!env.has_value()) continue;
+    if (!env.has_value()) {
+      if (request_lost(server)) {
+        return make_error(Errc::kIo, "request to site " +
+                                         std::to_string(server) +
+                                         " lost: connection failed");
+      }
+      continue;
+    }
     auto* reply = std::get_if<wire::ClientReply>(&env->message);
     if (reply == nullptr) continue;        // stray message: ignore
     if (reply->client_seq != seq) continue;  // reply to an older query
@@ -60,6 +76,7 @@ Result<SiteId> Client::move(const ObjectId& id, SiteId to, Duration timeout) {
   mc.reply_to = endpoint_->self();
   const SiteId first_stop =
       id.presumed_site != kNoSite ? id.presumed_site : id.birth_site;
+  (void)endpoint_->take_peer_events();  // outages before this request
   if (auto r = endpoint_->send(first_stop, mc); !r.ok()) return r.error();
 
   const auto deadline = std::chrono::steady_clock::now() +
@@ -72,7 +89,14 @@ Result<SiteId> Client::move(const ObjectId& id, SiteId to, Duration timeout) {
     const auto remaining =
         std::chrono::duration_cast<std::chrono::microseconds>(deadline - now);
     auto env = endpoint_->recv(Duration(remaining.count()));
-    if (!env.has_value()) continue;
+    if (!env.has_value()) {
+      if (request_lost(first_stop)) {
+        return make_error(Errc::kIo, "move request to site " +
+                                         std::to_string(first_stop) +
+                                         " lost: connection failed");
+      }
+      continue;
+    }
     auto* reply = std::get_if<wire::MoveReply>(&env->message);
     if (reply == nullptr || reply->client_seq != seq) continue;
     if (!reply->ok) return make_error(Errc::kNotFound, reply->error);

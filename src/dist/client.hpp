@@ -43,6 +43,11 @@ class Client {
   SiteId self() const { return endpoint_->self(); }
 
  private:
+  /// True when the endpoint reports `server`'s connection died since the
+  /// request went out — no reply is coming, so waiting out the deadline is
+  /// moot.
+  bool request_lost(SiteId server);
+
   std::unique_ptr<MessageEndpoint> endpoint_;
   SiteId default_server_;
   QuerySeq next_seq_ = 1;

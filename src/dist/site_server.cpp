@@ -259,8 +259,8 @@ Result<void> SiteServer::run_exclusive(
     MutexLock lock(ctl_mu_);
     ctl_.push_back(CtlTask{fn, waiter});
   }
-  // Wake-capable endpoints park in recv() until traffic or a deadline;
-  // kick the loop so the task runs now instead of at the next wakeup.
+  // The loop parks in recv() until traffic or a deadline; kick it so the
+  // task runs now instead of at the next wakeup.
   endpoint_->wake_recv();
   MutexLock lock(waiter->mu);
   while (!waiter->done) waiter->cv.wait(lock);
@@ -380,19 +380,24 @@ void SiteServer::run_loop() {
   // site re-announces itself without waiting out a full interval.
   last_summary_advert_ = last_sweep_ - options_.summary_interval;
   last_replication_ = last_sweep_ - options_.replication_interval;
-  // Readiness-driven endpoints (epoll, in-proc) interrupt a parked recv()
-  // on traffic, run_exclusive and stop(), so the wait may stretch to the
-  // next periodic deadline; the threaded TCP backend cannot interrupt a
-  // parked receiver and keeps the short timed poll.
-  const bool wakeable = endpoint_->wake_capable();
   while (!stopping_.load()) {
-    // The wait is bounded — by recv_budget() (the nearest periodic
-    // deadline, capped at 1s) on wake-capable endpoints, where wake_recv()
-    // cuts the wait short, and by poll_interval on the threaded fallback.
-    const Duration wait = wakeable ? recv_budget() : options_.poll_interval;
+    // The wait is bounded by recv_budget() (the nearest periodic deadline,
+    // capped at 1s); traffic, run_exclusive, stop() and failure reports
+    // cut it short through wake_recv().
     // hfverify: allow-blocking(recv-wait): bounded wait, see above.
-    auto env = endpoint_->recv(wait);
+    auto env = endpoint_->recv(recv_budget());
     if (env.has_value()) handle(std::move(*env));
+    // Reachability the transport noticed between sends: act on a dead
+    // connection now (frames it held took their termination weight with
+    // them) instead of waiting out the silence window or the context TTL,
+    // and re-check a revived peer instead of waiting for its ping slot.
+    for (const PeerEvent& ev : endpoint_->take_peer_events()) {
+      if (ev.up) {
+        peer_reachable(ev.peer);
+      } else {
+        peer_failed(ev.peer);
+      }
+    }
     drain_ctl();
     sweep_contexts();
     check_liveness();
@@ -480,6 +485,23 @@ Result<void> SiteServer::send_with_retry(SiteId to, const wire::Message& m,
   return r;
 }
 
+void SiteServer::peer_failed(SiteId peer) {
+  if (options_.suspect_after <= Duration(0) || peer == store_.site()) return;
+  // Not mid-drain (run_loop calls this between messages), so the verdict
+  // can land at once: queries whose weight rode the lost frames finish
+  // partial now, and new work fails over to the peer's replica.
+  liveness_.try_emplace(peer);
+  suspect_peer(peer);
+}
+
+void SiteServer::peer_reachable(SiteId peer) {
+  auto it = liveness_.find(peer);
+  if (it == liveness_.end() || !it->second.suspected) return;
+  // The revival ping goes out now; its reply clears the suspicion.
+  it->second.last_ping = now_tick();
+  (void)endpoint_->send(peer, wire::PingMessage{true});
+}
+
 void SiteServer::note_engagement(Participation& p, std::uint32_t hop,
                                  const std::vector<SiteId>& path) {
   std::vector<SiteId> with_self = path;
@@ -560,6 +582,7 @@ void SiteServer::check_liveness() {
   if (options_.suspect_after <= Duration(0)) return;
   const auto now = now_tick();
   if (now - last_liveness_check_ < options_.suspect_after / 4) return;
+  const auto previous_check = last_liveness_check_;
   last_liveness_check_ = now;
 
   // Peers of interest: anyone a live query of ours is waiting on. For an
@@ -596,15 +619,19 @@ void SiteServer::check_liveness() {
   for (SiteId peer : interest) {
     auto [it, fresh] = liveness_.try_emplace(peer);
     PeerLiveness& pl = it->second;
+    const bool resumed = fresh || pl.interested_at != previous_check;
+    pl.interested_at = now;
     if (pl.send_failed) {
       // Loud failure: suspect without waiting out the silence window.
       pl.send_failed = false;
       if (!pl.suspected) newly_suspect.push_back(peer);
       continue;
     }
-    if (fresh) {
-      // First interest in this peer: give it a full window from now rather
-      // than suspecting it for silence predating our interest.
+    if (resumed) {
+      // First interest in this peer, or the first since a pass without
+      // any (no query was waiting on it, so it had no reason to talk):
+      // give it a full window from now rather than suspecting it for
+      // silence predating our interest.
       pl.last_seen = now;
       continue;
     }
@@ -788,8 +815,7 @@ void SiteServer::suspect_peer(SiteId peer) {
   if (it == liveness_.end() || it->second.suspected) return;
   it->second.suspected = true;
   metrics().counter("dist.suspicions").inc();
-  HF_WARN << "site " << store_.site() << ": suspecting site " << peer
-          << " (silent past suspicion window)";
+  HF_WARN << "site " << store_.site() << ": suspecting site " << peer;
 
   // The suspect's cached summary dies with the suspicion: if the site comes
   // back — possibly volatile, with new content and a reset version counter —

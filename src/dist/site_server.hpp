@@ -70,8 +70,6 @@ enum class TerminationAlgorithm {
 struct SiteServerOptions {
   WorkSetDiscipline discipline = WorkSetDiscipline::kFifo;
   TerminationAlgorithm termination = TerminationAlgorithm::kWeightedMessages;
-  /// How long the event loop blocks waiting for a message.
-  Duration poll_interval = Duration(2'000);
   /// Buffer a drain's remote dereferences per destination and ship them as
   /// one BatchDerefRequest each (ablation A5). Off by default: the paper's
   /// one-message-per-pointer protocol starts remote work earlier.
@@ -330,6 +328,9 @@ class SiteServer {
     std::chrono::steady_clock::time_point last_seen;
     std::chrono::steady_clock::time_point last_ping;
     bool suspected = false;
+    /// The liveness pass that last found the peer of interest; silence
+    /// from before a lapse in interest is not held against it.
+    std::chrono::steady_clock::time_point interested_at;
     /// A send to this peer failed loudly even after retries (dead fd,
     /// closed mailbox). Recorded by send_with_retry; the next
     /// check_liveness pass converts it into a suspicion without waiting
@@ -347,10 +348,10 @@ class SiteServer {
   };
 
   HF_EVENT_LOOP_ONLY void run_loop();
-  /// How long the next recv may block on a wake-capable endpoint: the time
-  /// until the earliest periodic duty (sweep, liveness, summaries,
-  /// checkpoint, replication) falls due, capped at a bounded idle maximum.
-  /// Frame arrival and wake_recv() cut the wait short either way.
+  /// How long the next recv may block: the time until the earliest
+  /// periodic duty (sweep, liveness, summaries, checkpoint, replication)
+  /// falls due, capped at a bounded idle maximum. Frame arrival and
+  /// wake_recv() cut the wait short.
   HF_EVENT_LOOP_ONLY Duration recv_budget() const;
   /// Crash recovery + WAL attach (constructor, when wal_dir is set).
   void recover_durable_state();
@@ -364,6 +365,11 @@ class SiteServer {
   /// silent ones, force-finish their queries as partial.
   HF_EVENT_LOOP_ONLY void check_liveness();
   HF_EVENT_LOOP_ONLY void suspect_peer(SiteId peer);
+  /// The endpoint saw `peer`'s connection die (MessageEndpoint::
+  /// take_peer_events): suspect it now.
+  HF_EVENT_LOOP_ONLY void peer_failed(SiteId peer);
+  /// The endpoint can reach `peer` again: ping it now if suspected.
+  HF_EVENT_LOOP_ONLY void peer_reachable(SiteId peer);
   bool peer_suspected(SiteId peer) const {
     auto it = liveness_.find(peer);
     return it != liveness_.end() && it->second.suspected;

@@ -29,7 +29,7 @@
 #include "naming/name_registry.hpp"
 #include "naming/persist.hpp"
 #include "net/inproc.hpp"
-#include "net/tcp.hpp"
+#include "net/epoll.hpp"
 #include "query/builder.hpp"
 #include "query/parser.hpp"
 #include "query/rewrite.hpp"

@@ -1,13 +1,15 @@
 // Message endpoint abstraction: what a HyperFile site (or client) uses to
 // talk to the rest of the deployment. Two implementations:
-//   * InProcNetwork (net/inproc.hpp)    — threads in one process;
-//   * TcpNetwork    (net/tcp.hpp)       — real sockets on localhost/LAN.
+//   * InProcNetwork (net/inproc.hpp) — threads in one process;
+//   * EpollNetwork  (net/epoll.hpp)  — real sockets on localhost/LAN.
+// FaultInjectingEndpoint (net/faulty.hpp) decorates either.
 //
 // Both serialize every message through the wire format, so the in-process
 // runtime exercises exactly the bytes a TCP deployment would exchange.
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "common/result.hpp"
 #include "common/sync.hpp"
@@ -15,6 +17,15 @@
 #include "wire/message.hpp"
 
 namespace hyperfile {
+
+/// A peer's connection died (`up == false`: frames already accepted for it
+/// may be lost with their termination weight, and sends fail until it is
+/// back), or a peer reported down is reachable again (`up == true`).
+struct PeerEvent {
+  SiteId peer = kNoSite;
+  bool up = false;
+  bool operator==(const PeerEvent&) const = default;
+};
 
 class MessageEndpoint {
  public:
@@ -29,17 +40,18 @@ class MessageEndpoint {
   /// Blocking receive with timeout; nullopt on timeout or shutdown.
   HF_BLOCKING virtual std::optional<wire::Envelope> recv(Duration timeout) = 0;
 
-  /// True when wake_recv() can cut a parked recv() short. Wake-capable
-  /// endpoints let the event loop sleep until real work arrives (recv
-  /// bounded only by its next periodic deadline) instead of spinning a
-  /// short timed poll; SiteServer::run_loop picks its recv budget by this.
-  virtual bool wake_capable() const { return false; }
-
   /// Interrupt a parked recv() from another thread; it returns early as if
   /// it timed out. Latched, not edge-triggered: a wake landing between two
-  /// recv() calls is consumed by the next one. Default: no-op (the caller
-  /// must keep a bounded poll — see wake_capable()).
-  HF_ANY_THREAD virtual void wake_recv() {}
+  /// recv() calls is consumed by the next one. Every endpoint can do this,
+  /// so a consumer may park in recv() until its next periodic deadline.
+  HF_ANY_THREAD virtual void wake_recv() = 0;
+
+  /// Reachability changes the endpoint noticed on its own, between sends,
+  /// since the last call; a parked recv() is woken when one is recorded.
+  /// Default: none — the endpoint reports failure synchronously from send().
+  HF_ANY_THREAD virtual std::vector<PeerEvent> take_peer_events() {
+    return {};
+  }
 };
 
 struct NetworkStats {

@@ -9,8 +9,10 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
@@ -22,7 +24,12 @@ namespace {
 /// a drain burst while keeping the iovec array on the stack.
 constexpr int kWritevBatch = 64;
 
-constexpr std::uint32_t kMaxFrameBytes = 64u << 20;  // same cap as net/tcp
+constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
+/// Re-probe cadence for a down peer: the first probe after 1 ms, doubling
+/// to a 32 ms cap, so a restarted peer is reachable again within ~32 ms.
+constexpr std::chrono::milliseconds kFirstProbe{1};
+constexpr std::chrono::milliseconds kMaxProbeBackoff{32};
 
 Error errno_error(const std::string& what) {
   return make_error(Errc::kIo, what + ": " + std::strerror(errno));
@@ -125,31 +132,40 @@ void EpollNetwork::run_loop() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stopping_.load()) {
+    const int timeout_ms = loop_timeout_ms();
     // hfverify: allow-blocking(epoll_wait): the event loop's one sanctioned
-    // park — bounded at 200ms so stopping_ is honored, woken early by the
-    // eventfd on every cross-thread handoff.
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, 200);
+    // park — bounded by loop_timeout_ms() so stopping_ and re-probes are
+    // honored, woken early by the eventfd on every cross-thread handoff.
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       HF_ERROR << "epoll site " << self_ << ": epoll_wait: "
                << std::strerror(errno);
       break;
     }
+    // Consume the eventfd *before* swapping out the handoff lists. A wake
+    // written after this read makes the next epoll_wait return at once,
+    // and every handoff pushed before it is in the lists drain_pending()
+    // takes. Reading it after the swap would swallow the wake of a handoff
+    // landing in between, stranding that frame until some unrelated event.
+    if (std::any_of(events, events + n, [this](const epoll_event& ev) {
+          return ev.data.fd == wake_fd_;
+        })) {
+      std::uint64_t junk;
+      while (::read(wake_fd_, &junk, sizeof junk) > 0) {
+      }
+    }
     drain_pending();
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        std::uint64_t junk;
-        while (::read(wake_fd_, &junk, sizeof junk) > 0) {
-        }
-        continue;
-      }
+      if (fd == wake_fd_) continue;
       if (fd == listen_fd_) {
         accept_ready();
         continue;
       }
       handle_event(fd, events[i].events);
     }
+    probe_down_peers();
   }
   // Loop exit: every socket is loop-owned, so close them here. Senders
   // racing shutdown see `dead` under the conn lock, never a stale fd.
@@ -181,6 +197,45 @@ void EpollNetwork::run_loop() {
   // caller may still be inside wake()'s write to the eventfd, and closing
   // under it would let a reused fd number misdirect that write. shutdown()
   // closes all three strictly after joining this thread.
+}
+
+int EpollNetwork::loop_timeout_ms() const {
+  constexpr std::chrono::milliseconds kMaxWait{200};
+  if (next_probe_ == Clock::time_point::max()) {
+    return static_cast<int>(kMaxWait.count());
+  }
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(next_probe_ - Clock::now());
+  return static_cast<int>(
+      std::clamp(left, std::chrono::milliseconds(0), kMaxWait).count());
+}
+
+void EpollNetwork::probe_down_peers() {
+  if (next_probe_ == Clock::time_point::max()) return;  // nobody is down
+  const auto now = Clock::now();
+  if (now < next_probe_) return;
+  next_probe_ = Clock::time_point::max();
+  std::vector<ConnPtr> probes;
+  {
+    MutexLock lock(conn_mu_);
+    for (auto& [site, outage] : down_) {
+      if (outage.probe == nullptr && outage.next_probe <= now) {
+        // Schedule the next attempt up front; a refused probe waits for it.
+        outage.backoff = std::min<Clock::duration>(2 * outage.backoff,
+                                                   kMaxProbeBackoff);
+        outage.next_probe = now + outage.backoff;
+        if (auto fd = dial(site); fd.ok()) {
+          outage.probe =
+              std::make_shared<Conn>(fd.value(), /*connecting=*/true, site);
+          probes.push_back(outage.probe);
+        }
+      }
+      if (outage.probe == nullptr) {
+        next_probe_ = std::min(next_probe_, outage.next_probe);
+      }
+    }
+  }
+  for (auto& probe : probes) adopt_conn(probe);
 }
 
 void EpollNetwork::drain_pending() {
@@ -248,6 +303,11 @@ void EpollNetwork::handle_event(int fd, std::uint32_t events) {
   if (it == conns_by_fd_.end()) return;  // torn down earlier in this batch
   ConnPtr conn = it->second;             // keep alive across teardown
 
+  const auto gone = [&] {
+    auto again = conns_by_fd_.find(fd);
+    return again == conns_by_fd_.end() || again->second != conn;
+  };
+
   if (conn->connecting && (events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) {
     int err = 0;
     socklen_t len = sizeof err;
@@ -256,15 +316,14 @@ void EpollNetwork::handle_event(int fd, std::uint32_t events) {
       teardown_conn(conn, std::string("connect: ") + std::strerror(err));
       return;
     }
-    conn->connecting = false;
-    metrics().counter("net.epoll.connects").inc();
+    connected(conn);
+    if (gone()) return;
   }
   if ((events & EPOLLIN) != 0) {
     // Drain inbound first: EPOLLHUP can arrive together with the peer's
     // final frames, which must not be lost to the teardown below.
     read_conn(conn);
-    auto again = conns_by_fd_.find(fd);
-    if (again == conns_by_fd_.end() || again->second != conn) return;
+    if (gone()) return;
   }
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
     int err = 0;
@@ -274,6 +333,30 @@ void EpollNetwork::handle_event(int fd, std::uint32_t events) {
     return;
   }
   if ((events & EPOLLOUT) != 0 && !conn->connecting) flush_conn(conn);
+}
+
+void EpollNetwork::connected(const ConnPtr& conn) {
+  conn->connecting = false;
+  metrics().counter("net.epoll.connects").inc();
+  if (conn->probe_for == kNoSite) return;
+  bool adopted = false;
+  {
+    // A probe that connects ends the outage and becomes the peer's
+    // connection (sends do not dial a down peer, so conns_ holds none).
+    MutexLock lock(conn_mu_);
+    auto it = down_.find(conn->probe_for);
+    if (it != down_.end() && it->second.probe == conn) {
+      down_.erase(it);
+      conns_[conn->probe_for] = conn;
+      events_.push_back(PeerEvent{conn->probe_for, /*up=*/true});
+      adopted = true;
+    }
+  }
+  if (adopted) {
+    inbox_.interrupt();
+  } else {
+    teardown_conn(conn, "reconnect probe superseded");
+  }
 }
 
 void EpollNetwork::read_conn(const ConnPtr& conn) {
@@ -296,8 +379,8 @@ void EpollNetwork::read_conn(const ConnPtr& conn) {
     while (conn->rdbuf.size() - off >= 4) {
       const std::uint32_t len = read_be32(conn->rdbuf.data() + off);
       if (len > kMaxFrameBytes) {
-        // A lying length prefix has no resync point; the connection dies
-        // (loudly), same as the threaded backend.
+        // A lying length prefix has no resync point; the connection dies,
+        // loudly.
         frame_drops.inc();
         HF_WARN << "epoll site " << self_ << ": oversized frame (" << len
                 << " bytes) from peer "
@@ -325,9 +408,14 @@ void EpollNetwork::read_conn(const ConnPtr& conn) {
         continue;
       }
       if (env.value().src != conn->last_src) {
+        // First frame from this site on this connection: learn the route,
+        // and a peer that is talking again is no longer down.
         conn->last_src = env.value().src;
         MutexLock lock(conn_mu_);
         learned_[conn->last_src] = conn;
+        if (down_.erase(conn->last_src) != 0) {
+          events_.push_back(PeerEvent{conn->last_src, /*up=*/true});
+        }
       }
       inbox_.push(std::move(env).value());
     }
@@ -422,28 +510,7 @@ void EpollNetwork::teardown_conn(const ConnPtr& conn,
     conns_by_fd_.erase(it);
   }
   ::close(conn->fd);
-  if (!stopping_.load()) {
-    // Purge every route through this connection and tombstone the sites it
-    // served: the next send() to each fails kIo (failure made visible at
-    // the retry boundary), the one after reconnects.
-    MutexLock lock(conn_mu_);
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if (it->second == conn) {
-        failed_[it->first] = reason;
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = learned_.begin(); it != learned_.end();) {
-      if (it->second == conn) {
-        failed_[it->first] = reason;
-        it = learned_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  if (!stopping_.load()) purge_routes(conn, reason);
   if (lost > 0) {
     HF_WARN << "epoll site " << self_ << ": connection fd " << conn->fd
             << " (peer "
@@ -455,6 +522,76 @@ void EpollNetwork::teardown_conn(const ConnPtr& conn,
     HF_DEBUG << "epoll site " << self_ << ": connection fd " << conn->fd
              << " down: " << reason;
   }
+}
+
+void EpollNetwork::purge_routes(const ConnPtr& conn,
+                                const std::string& reason) {
+  const auto now = Clock::now();
+  bool reported = false;
+  {
+    MutexLock lock(conn_mu_);
+    if (conn->probe_for != kNoSite) {
+      auto it = down_.find(conn->probe_for);
+      if (it != down_.end() && it->second.probe == conn) {
+        it->second.probe = nullptr;  // refused: retry when scheduled
+        next_probe_ = std::min(next_probe_, it->second.next_probe);
+      }
+    }
+    const auto route_died = [&](SiteId site) {
+      if (site >= peers_.size()) {
+        failed_[site] = reason;  // learned route: cannot redial
+        return;
+      }
+      if (down_.try_emplace(site, Outage{reason, nullptr, now + kFirstProbe,
+                                         kFirstProbe})
+              .second) {
+        next_probe_ = std::min(next_probe_, now + kFirstProbe);
+        events_.push_back(PeerEvent{site, /*up=*/false});
+        reported = true;
+      }
+    };
+    for (auto* routes : {&conns_, &learned_}) {
+      for (auto it = routes->begin(); it != routes->end();) {
+        if (it->second == conn) {
+          route_died(it->first);
+          it = routes->erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+  }
+  if (reported) inbox_.interrupt();
+}
+
+std::vector<PeerEvent> EpollNetwork::take_peer_events() {
+  MutexLock lock(conn_mu_);
+  return std::exchange(events_, {});
+}
+
+Result<int> EpollNetwork::dial(SiteId to) {
+  const TcpPeer& peer = peers_[to];
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return errno_error("socket");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(peer.port);
+  if (::inet_pton(AF_INET, peer.host.c_str(), &addr.sin_addr) != 1) {
+    ::close(fd);
+    return make_error(Errc::kInvalidArgument, "bad host " + peer.host);
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  // Completion (or refusal) is an EPOLLOUT event on the loop; holding
+  // conn_mu_ here is fine — nothing sleeps.
+  // hfverify: allow-blocking(connect): O_NONBLOCK socket — returns
+  // EINPROGRESS immediately instead of waiting for the handshake.
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 &&
+      errno != EINPROGRESS) {
+    ::close(fd);
+    return errno_error("connect to site " + std::to_string(to));
+  }
+  return fd;
 }
 
 Result<void> EpollNetwork::send(SiteId to, wire::Message message) {
@@ -493,9 +630,16 @@ Result<void> EpollNetwork::send(SiteId to, wire::Message message) {
       return make_error(Errc::kClosed,
                         "endpoint " + std::to_string(self_) + " shut down");
     }
+    if (auto d = down_.find(to); d != down_.end()) {
+      // Sticky: nothing is queued for a peer known to be down, so the
+      // caller repays the frame's weight now; the loop's probes reconnect.
+      return make_error(Errc::kIo, "site " + std::to_string(to) +
+                                       " is down (" + d->second.reason +
+                                       "); reconnecting");
+    }
     if (auto f = failed_.find(to); f != failed_.end()) {
-      // Consume the tombstone: report the asynchronous failure exactly
-      // once, loudly; the caller's retry reconnects.
+      // Consume the tombstone: report the learned route's death exactly
+      // once, loudly.
       Error err = make_error(
           Errc::kIo, "connection to site " + std::to_string(to) + " failed (" +
                          f->second + "); queued frames were dropped");
@@ -505,31 +649,9 @@ Result<void> EpollNetwork::send(SiteId to, wire::Message message) {
     if (auto it = conns_.find(to); it != conns_.end()) {
       conn = it->second;
     } else if (to < peers_.size()) {
-      const TcpPeer& peer = peers_[to];
-      const int fd =
-          ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-      if (fd < 0) return errno_error("socket");
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(peer.port);
-      if (::inet_pton(AF_INET, peer.host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        return make_error(Errc::kInvalidArgument, "bad host " + peer.host);
-      }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      // Non-blocking connect: EINPROGRESS now, completion (or refusal) is
-      // an EPOLLOUT event on the loop. Holding conn_mu_ here is fine —
-      // nothing sleeps.
-      // hfverify: allow-blocking(connect): O_NONBLOCK socket — returns
-      // EINPROGRESS immediately instead of waiting for the handshake.
-      const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                               sizeof addr);
-      if (rc < 0 && errno != EINPROGRESS) {
-        ::close(fd);
-        return errno_error("connect to site " + std::to_string(to));
-      }
-      conn = std::make_shared<Conn>(fd, /*connecting=*/rc < 0);
+      auto fd = dial(to);
+      if (!fd.ok()) return fd.error();
+      conn = std::make_shared<Conn>(fd.value(), /*connecting=*/true);
       conns_[to] = conn;
       adopt = true;
     } else if (auto lit = learned_.find(to); lit != learned_.end()) {
@@ -578,21 +700,25 @@ std::optional<wire::Envelope> EpollNetwork::recv(Duration timeout) {
 }
 
 void EpollNetwork::update_peer(SiteId site, TcpPeer peer) {
-  ConnPtr old;
+  std::vector<ConnPtr> old;
   {
     MutexLock lock(conn_mu_);
     if (site >= peers_.size()) return;
     peers_[site] = std::move(peer);
-    failed_.erase(site);  // fresh address, fresh start
+    // Fresh address, fresh start: forget the outage and its probe.
+    if (auto d = down_.find(site); d != down_.end()) {
+      if (d->second.probe != nullptr) old.push_back(d->second.probe);
+      down_.erase(d);
+    }
     if (auto it = conns_.find(site); it != conns_.end()) {
-      old = it->second;
+      old.push_back(it->second);
       conns_.erase(it);
     }
   }
-  if (old != nullptr) {
+  if (!old.empty()) {
     {
       MutexLock lock(pending_mu_);
-      pending_close_.push_back(std::move(old));
+      pending_close_.insert(pending_close_.end(), old.begin(), old.end());
     }
     wake();
   }
@@ -615,7 +741,9 @@ void EpollNetwork::shutdown() {
   MutexLock lock(conn_mu_);
   conns_.clear();
   learned_.clear();
+  down_.clear();
   failed_.clear();
+  events_.clear();
 }
 
 NetworkStats EpollNetwork::stats() const {

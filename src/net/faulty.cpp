@@ -170,8 +170,8 @@ Result<void> FaultInjectingEndpoint::send(SiteId to, wire::Message message) {
   deliver(std::move(due));
   switch (verdict) {
     case Verdict::kCrashed:
-      // Loud, immediate, detected — exactly what TcpNetwork reports once
-      // the peer's fd dies. The caller's repay-and-drop path owns recovery.
+      // Loud, immediate, detected — what EpollNetwork reports for a peer
+      // it knows is down. The caller's repay-and-drop path owns recovery.
       return make_error(Errc::kClosed,
                         "peer " + std::to_string(to) + " crashed");
     case Verdict::kPartitioned:
@@ -203,16 +203,21 @@ Result<void> FaultInjectingEndpoint::send(SiteId to, wire::Message message) {
 }
 
 std::optional<wire::Envelope> FaultInjectingEndpoint::recv(Duration timeout) {
+  // While frames are held, keep the clock ticking: nothing else would
+  // release them if the caller's traffic has gone quiet.
+  constexpr Duration kHeldTick{2'000};
   std::vector<Held> due;
   std::vector<SiteId> dead_links;
+  bool holding = false;
   {
     MutexLock lock(mu_);
     due = advance_tick();
     dead_links = drop_crashed(due);
+    holding = !held_.empty();
   }
   count_crash_dropped(dead_links);
   deliver(std::move(due));
-  return inner_->recv(timeout);
+  return inner_->recv(holding ? std::min(timeout, kHeldTick) : timeout);
 }
 
 void FaultInjectingEndpoint::partition(SiteId peer) {

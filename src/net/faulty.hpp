@@ -1,7 +1,7 @@
 // Deterministic fault injection for any MessageEndpoint.
 //
 // FaultInjectingEndpoint decorates an endpoint (InProcNetwork handle or
-// TcpNetwork alike — both speak MessageEndpoint) and disturbs its *send*
+// EpollNetwork alike — both speak MessageEndpoint) and disturbs its *send*
 // path under a seeded common/rng stream: frames are silently dropped,
 // duplicated, or held back and released later (delay / reorder). Dropping
 // is silent on purpose — the send reports success, exactly like a lossy
@@ -12,16 +12,18 @@
 //
 // Held frames are released on subsequent endpoint activity: every send()
 // and every recv() call is one *tick*, and a held frame ships once its tick
-// budget expires. Site event loops poll recv() continuously, so delayed
+// budget expires. While frames are held, recv() waits at most 2 ms, so a
+// site event loop on an otherwise idle endpoint keeps ticking and delayed
 // frames are released promptly — delay and reorder perturb ordering, they
-// never lose messages.
+// never lose messages. wake_recv() and take_peer_events() pass through to
+// the wrapped endpoint.
 //
 // Runtime partition/heal toggles cut individual links (or the whole
 // endpoint) mid-run: partitioned sends are silently swallowed, modelling a
 // network partition. A *crashed* peer is the other fault class and is
 // modelled separately by crash()/revive(): sends to a crashed peer fail
-// loudly with kClosed — the same detected error TcpNetwork reports for a
-// dead fd and InProcNetwork for a closed mailbox — so the sender's
+// loudly with kClosed — the same detected error EpollNetwork reports for a
+// down peer and InProcNetwork for a closed mailbox — so the sender's
 // repay-and-drop path fires immediately instead of waiting out a TTL.
 // Partition = the wire lies (silent loss); crash = the OS tells the truth
 // (connection refused). Held frames already in flight to a peer that then
@@ -88,6 +90,10 @@ class FaultInjectingEndpoint final : public MessageEndpoint {
 
   Result<void> send(SiteId to, wire::Message message) override;
   HF_BLOCKING std::optional<wire::Envelope> recv(Duration timeout) override;
+  HF_ANY_THREAD void wake_recv() override { inner_->wake_recv(); }
+  HF_ANY_THREAD std::vector<PeerEvent> take_peer_events() override {
+    return inner_->take_peer_events();
+  }
 
   /// Cut the link to `peer`: sends are silently swallowed until heal(peer).
   void partition(SiteId peer);

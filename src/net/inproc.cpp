@@ -61,7 +61,6 @@ class InProcEndpoint final : public MessageEndpoint {
     return net_.mailboxes_[self_]->pop_wait(timeout);
   }
 
-  bool wake_capable() const override { return true; }
   void wake_recv() override { net_.mailboxes_[self_]->interrupt(); }
 
  private:

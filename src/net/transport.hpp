@@ -1,68 +1,25 @@
-// Socket transport abstraction: the two TCP backends behind one interface.
-//
-//   * TcpNetwork   (net/tcp.hpp)   — thread-per-connection: an accept thread
-//     plus one blocking reader thread per socket. Simple, debuggable, and
-//     fine for a handful of sites.
-//   * EpollNetwork (net/epoll.hpp) — event-driven: one epoll loop over
-//     non-blocking sockets with per-peer bounded send queues and explicit
-//     backpressure (`Errc::kBusy`). This is the backend that scales to
-//     hundreds of connections (DESIGN.md §17).
-//
-// Both speak the same length-prefixed wire framing (docs/WIRE_PROTOCOL.md),
-// so they interoperate on the wire: an hfq client on one backend can talk
-// to a hyperfiled server on the other. Everything above the endpoint —
-// SiteServer, Client, FaultInjectingEndpoint, the chaos suite — sees only
-// MessageEndpoint and runs unchanged on either.
+// Names kept for perfbench/e2e.cpp, the end-to-end benchmark program, which
+// is frozen so its numbers stay comparable across commits and still spells
+// the socket transport the way it did when there were two backends. There is
+// one: EpollNetwork (net/epoll.hpp). New code uses EpollNetwork::create; these
+// names can go once that program is next revised.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "net/endpoint.hpp"
+#include "net/epoll.hpp"
 
 namespace hyperfile {
 
-struct TcpPeer {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-};
+enum class TcpBackend { kEpoll };
 
-enum class TcpBackend {
-  kThreaded,  // TcpNetwork: accept thread + reader thread per connection
-  kEpoll,     // EpollNetwork: one event loop, non-blocking sockets
-};
+using SocketTransport = EpollNetwork;
 
-const char* to_string(TcpBackend backend);
-/// "tcp"/"threaded" or "epoll"; kInvalidArgument otherwise.
-Result<TcpBackend> parse_tcp_backend(const std::string& name);
-
-/// What deployment glue (examples, tests, bench harnesses) needs beyond
-/// MessageEndpoint: the ephemeral-port bootstrap dance and observability.
-class SocketTransport : public MessageEndpoint {
- public:
-  /// The port the endpoint actually listens on (== the configured port, or
-  /// the kernel-assigned one when configured as 0).
-  virtual std::uint16_t bound_port() const = 0;
-
-  /// Update a peer's address (e.g. after it bound an ephemeral port).
-  /// Drops any cached connection to that peer.
-  virtual void update_peer(SiteId site, TcpPeer peer) = 0;
-
-  virtual void shutdown() = 0;
-
-  virtual NetworkStats stats() const = 0;
-
-  /// True if a cached outbound connection or learned route to `to` exists.
-  /// Observability hook for tests: a dead connection must disappear from
-  /// here once the transport notices, so the next send reconnects.
-  virtual bool has_route(SiteId to) const = 0;
-};
-
-/// Factory over the two backends; `peers[i]` is where site i listens (see
-/// TcpNetwork::create for the self-outside-the-table client convention).
-Result<std::unique_ptr<SocketTransport>> make_socket_transport(
-    TcpBackend backend, SiteId self, std::vector<TcpPeer> peers);
+inline Result<std::unique_ptr<SocketTransport>> make_socket_transport(
+    TcpBackend /*backend*/, SiteId self, std::vector<TcpPeer> peers) {
+  return EpollNetwork::create(self, std::move(peers));
+}
 
 }  // namespace hyperfile

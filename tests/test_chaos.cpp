@@ -25,7 +25,7 @@
 #include "dist/site_server.hpp"
 #include "engine/local_engine.hpp"
 #include "net/faulty.hpp"
-#include "net/transport.hpp"
+#include "net/epoll.hpp"
 #include "test_helpers.hpp"
 
 namespace hyperfile {
@@ -509,13 +509,12 @@ struct TcpChaosDeployment {
   std::vector<TcpPeer> peers;    // resolved addresses, for restarts
   FaultOptions faults;           // re-applied to restarted endpoints
   SiteServerOptions options;     // re-applied to restarted servers
-  TcpBackend backend;            // re-applied to restarted transports
 
-  TcpChaosDeployment(TerminationAlgorithm algo, TcpBackend backend_in,
+  TcpChaosDeployment(TerminationAlgorithm algo,
                      const FaultOptions& faults_in, SiteId sites = 3,
                      std::function<void(SiteServerOptions&)> tweak = {},
                      bool tree = false)
-      : faults(faults_in), options(chaos_options(algo)), backend(backend_in) {
+      : faults(faults_in), options(chaos_options(algo)) {
     if (tweak) tweak(options);
     // Mirror Cluster: with summaries on and no explicit peer list, every
     // site advertises to every other site.
@@ -524,9 +523,9 @@ struct TcpChaosDeployment {
       for (SiteId s = 0; s < sites; ++s) options.summary_peers.push_back(s);
     }
     std::vector<TcpPeer> zeros(sites + 1, TcpPeer{"127.0.0.1", 0});
-    std::vector<std::unique_ptr<SocketTransport>> nets;
+    std::vector<std::unique_ptr<EpollNetwork>> nets;
     for (SiteId s = 0; s <= sites; ++s) {
-      auto net = make_socket_transport(backend, s, zeros);
+      auto net = EpollNetwork::create(s, zeros);
       if (!net.ok()) return;  // no sockets in this environment
       nets.push_back(std::move(net).value());
     }
@@ -594,7 +593,7 @@ struct TcpChaosDeployment {
   /// Rebind the site's original port and bring up a fresh server from an
   /// *empty* store: whatever it serves afterwards came from checkpoint+WAL.
   Result<void> restart(SiteId site) {
-    auto net = make_socket_transport(backend, site, peers);
+    auto net = EpollNetwork::create(site, peers);
     if (!net.ok()) return net.error();
     auto ep = decorated_endpoint(std::move(net).value(), site);
     servers[site] = std::make_unique<SiteServer>(std::move(ep),
@@ -610,25 +609,21 @@ struct TcpChaosDeployment {
   }
 };
 
-// Every TCP chaos test runs over both socket backends: the epoll transport
-// must satisfy the exact chaos contract the threaded one does, with the
-// FaultInjectingEndpoint decoration unchanged.
+// Every TCP chaos test runs under both termination detectors, with the
+// FaultInjectingEndpoint decoration over real sockets.
 class TcpChaosMatrix
-    : public ::testing::TestWithParam<
-          std::tuple<TerminationAlgorithm, TcpBackend>> {
+    : public ::testing::TestWithParam<TerminationAlgorithm> {
  protected:
-  TerminationAlgorithm algo() const { return std::get<0>(GetParam()); }
-  TcpBackend backend() const { return std::get<1>(GetParam()); }
+  TerminationAlgorithm algo() const { return GetParam(); }
   std::string tag() const {
-    return std::to_string(static_cast<int>(algo())) + "_" +
-           to_string(backend());
+    return std::to_string(static_cast<int>(algo()));
   }
 };
 
 TEST_P(TcpChaosMatrix, TcpWorkloadSurvivesFaultSchedules) {
   for (const FaultCase& fc : fault_cases()) {
     SCOPED_TRACE(fc.name);
-    TcpChaosDeployment d(algo(), backend(), fc.faults);
+    TcpChaosDeployment d(algo(), fc.faults);
     if (!d.ok) GTEST_SKIP() << "no localhost sockets";
     Query q = parse_or_die(kClosure);
     for (int round = 0; round < 2; ++round) {
@@ -661,7 +656,7 @@ TEST_P(TcpChaosMatrix, TcpKilledSiteAnswersPartialThenRestartRecoversExact) {
   const std::string wal_dir = ::testing::TempDir() + "/hf_tcp_chaos_wal_" + tag();
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
-  TcpChaosDeployment d(algo(), backend(), FaultOptions{}, 3,
+  TcpChaosDeployment d(algo(), FaultOptions{}, 3,
                        [&](SiteServerOptions& o) { o.wal_dir = wal_dir; });
   if (!d.ok) GTEST_SKIP() << "no localhost sockets";
   Query q = parse_or_die(kClosure);
@@ -747,7 +742,7 @@ TEST_P(TcpChaosMatrix, PrimaryDeathServesFromReplicaExactOrFlaggedPartial) {
       ::testing::TempDir() + "/hf_tcp_failover_wal_" + tag();
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
-  TcpChaosDeployment d(algo(), backend(), FaultOptions{}, 3,
+  TcpChaosDeployment d(algo(), FaultOptions{}, 3,
                        enable_replication(wal_dir));
   if (!d.ok) GTEST_SKIP() << "no localhost sockets";
   Query q = parse_or_die(kClosure);
@@ -793,7 +788,7 @@ TEST_P(TcpChaosMatrix, RevivedPrimaryReclaimsRoutingWithoutSplitBrain) {
       ::testing::TempDir() + "/hf_tcp_revive_wal_" + tag();
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
-  TcpChaosDeployment d(algo(), backend(), FaultOptions{}, 3,
+  TcpChaosDeployment d(algo(), FaultOptions{}, 3,
                        enable_replication(wal_dir));
   if (!d.ok) GTEST_SKIP() << "no localhost sockets";
   Query q = parse_or_die(kClosure);
@@ -1055,7 +1050,7 @@ TEST_P(TcpChaosMatrix, TcpFaultSchedulesStayExactWithPruning) {
   // (lossless) or flagged (lossy) with pruning live.
   for (const FaultCase& fc : fault_cases()) {
     SCOPED_TRACE(fc.name);
-    TcpChaosDeployment d(algo(), backend(), fc.faults, 3, enable_summaries,
+    TcpChaosDeployment d(algo(), fc.faults, 3, enable_summaries,
                          /*tree=*/true);
     if (!d.ok) GTEST_SKIP() << "no localhost sockets";
     if (std::string(fc.name) == "none") wait_summaries(d.servers);
@@ -1080,7 +1075,7 @@ TEST_P(TcpChaosMatrix, TcpRestartReAdvertisesSummaryNoPermanentFalsePrune) {
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
   TcpChaosDeployment d(
-      algo(), backend(), FaultOptions{}, 3,
+      algo(), FaultOptions{}, 3,
       [&](SiteServerOptions& o) {
         o.wal_dir = wal_dir;
         o.suspect_after = Duration(300'000);
@@ -1143,17 +1138,13 @@ TEST_P(TcpChaosMatrix, TcpRestartReAdvertisesSummaryNoPermanentFalsePrune) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AlgosByBackend, TcpChaosMatrix,
-    ::testing::Combine(
-        ::testing::Values(TerminationAlgorithm::kWeightedMessages,
-                          TerminationAlgorithm::kDijkstraScholten),
-        ::testing::Values(TcpBackend::kThreaded, TcpBackend::kEpoll)),
-    [](const ::testing::TestParamInfo<TcpChaosMatrix::ParamType>& info) {
-      const char* algo =
-          std::get<0>(info.param) == TerminationAlgorithm::kWeightedMessages
-              ? "weighted"
-              : "dijkstra_scholten";
-      return std::string(algo) + "_" + to_string(std::get<1>(info.param));
+    Algos, TcpChaosMatrix,
+    ::testing::Values(TerminationAlgorithm::kWeightedMessages,
+                      TerminationAlgorithm::kDijkstraScholten),
+    [](const ::testing::TestParamInfo<TerminationAlgorithm>& info) {
+      return std::string(info.param == TerminationAlgorithm::kWeightedMessages
+                             ? "weighted"
+                             : "dijkstra_scholten");
     });
 
 }  // namespace

@@ -15,8 +15,6 @@
 #include "net/epoll.hpp"
 #include "net/faulty.hpp"
 #include "net/inproc.hpp"
-#include "net/tcp.hpp"
-#include "net/transport.hpp"
 #include "query/parser.hpp"
 
 namespace hyperfile {
@@ -168,107 +166,6 @@ TEST(InProcNetwork, MessagesSurviveWireRoundTrip) {
   EXPECT_EQ(got.query, dr.query);
   EXPECT_EQ(got.start, 3u);
   EXPECT_EQ(got.iter_stack, (std::vector<std::uint32_t>{1, 2}));
-}
-
-TEST(TcpNetwork, LoopbackDelivery) {
-  // Two endpoints on ephemeral localhost ports; addresses exchanged after
-  // binding via update_peer (the ephemeral-port bootstrap dance).
-  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}, {"127.0.0.1", 0}};
-  auto a = TcpNetwork::create(0, peers);
-  if (!a.ok()) GTEST_SKIP() << "no localhost sockets: " << a.error().to_string();
-  auto b = TcpNetwork::create(1, peers);
-  ASSERT_TRUE(b.ok()) << b.error().to_string();
-  a.value()->update_peer(1, {"127.0.0.1", b.value()->bound_port()});
-  b.value()->update_peer(0, {"127.0.0.1", a.value()->bound_port()});
-
-  ASSERT_TRUE(a.value()->send(1, sample_message()).ok());
-  auto env = b.value()->recv(kLong);
-  ASSERT_TRUE(env.has_value());
-  EXPECT_EQ(env->src, 0u);
-  EXPECT_EQ(std::get<wire::QueryDone>(env->message).qid, (wire::QueryId{1, 42}));
-
-  // And the reverse direction.
-  ASSERT_TRUE(b.value()->send(0, sample_message()).ok());
-  auto env2 = a.value()->recv(kLong);
-  ASSERT_TRUE(env2.has_value());
-  EXPECT_EQ(env2->src, 1u);
-
-  a.value()->shutdown();
-  b.value()->shutdown();
-}
-
-TEST(TcpNetwork, SelfSendBypassesSocket) {
-  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}};
-  auto a = TcpNetwork::create(0, peers);
-  if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
-  ASSERT_TRUE(a.value()->send(0, sample_message()).ok());
-  auto env = a.value()->recv(kLong);
-  ASSERT_TRUE(env.has_value());
-  a.value()->shutdown();
-}
-
-TEST(TcpNetwork, SendToDownPeerFails) {
-  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}, {"127.0.0.1", 1}};  // port 1: closed
-  auto a = TcpNetwork::create(0, peers);
-  if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
-  auto r = a.value()->send(1, sample_message());
-  EXPECT_FALSE(r.ok());
-  a.value()->shutdown();
-}
-
-TEST(TcpNetwork, SelfSendAfterShutdownFails) {
-  // Regression: the self-delivery path ignored the inbox push result, so a
-  // send after shutdown() claimed success for a silently-discarded message.
-  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}};
-  auto a = TcpNetwork::create(0, peers);
-  if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
-  a.value()->shutdown();
-  auto r = a.value()->send(0, sample_message());
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, Errc::kClosed);
-}
-
-TEST(TcpNetwork, DeadPeerRoutePurgedAndFirstResendDelivered) {
-  // Regression: when a peer dies, its cached connection must vanish from the
-  // routing tables as soon as the reader thread sees EOF. A stale entry made
-  // the FIRST send after the peer restarted fail (writing into a dead fd)
-  // when reconnecting would have succeeded.
-  std::vector<TcpPeer> boot = {{"127.0.0.1", 0}, {"127.0.0.1", 0}};
-  auto b1 = TcpNetwork::create(1, boot);
-  if (!b1.ok()) GTEST_SKIP() << "no localhost sockets";
-  const std::uint16_t port = b1.value()->bound_port();
-  // `a` knows site 1 by a fixed address, so it can reconnect unaided.
-  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}, {"127.0.0.1", port}};
-  auto a = TcpNetwork::create(0, peers);
-  ASSERT_TRUE(a.ok()) << a.error().to_string();
-
-  ASSERT_TRUE(a.value()->send(1, sample_message()).ok());
-  ASSERT_TRUE(b1.value()->recv(kLong).has_value());
-  EXPECT_TRUE(a.value()->has_route(1));
-
-  b1.value()->shutdown();
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (a.value()->has_route(1)) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "dead route never purged";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  // The peer comes back on the same port; kernel TIME_WAIT can delay the
-  // rebind briefly.
-  Result<std::unique_ptr<TcpNetwork>> b2 = make_error(Errc::kIo, "unbound");
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    b2 = TcpNetwork::create(1, peers);
-    if (b2.ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  if (!b2.ok()) GTEST_SKIP() << "could not rebind port " << port;
-
-  ASSERT_TRUE(a.value()->send(1, sample_message()).ok())
-      << "first send after peer restart must reconnect, not hit the dead fd";
-  EXPECT_TRUE(b2.value()->recv(kLong).has_value());
-  a.value()->shutdown();
-  b2.value()->shutdown();
 }
 
 // --- FaultInjectingEndpoint -------------------------------------------
@@ -453,7 +350,7 @@ TEST(FaultInjection, CrashDropsHeldFramesExactly) {
   EXPECT_FALSE(b->recv(kShort).has_value());
 }
 
-// --- SocketTransport: both TCP backends behind one interface -----------
+// --- Socket transport: EpollNetwork over real localhost sockets ----------
 
 /// A message big enough to stress socket buffers: ~3 bytes of varint per
 /// iter_stack entry.
@@ -542,13 +439,11 @@ struct RawClient {
   }
 };
 
-class SocketTransportSuite : public ::testing::TestWithParam<TcpBackend> {};
-
-TEST_P(SocketTransportSuite, LoopbackDeliveryBothDirections) {
+TEST(SocketTransportSuite, LoopbackDeliveryBothDirections) {
   std::vector<TcpPeer> peers = {{"127.0.0.1", 0}, {"127.0.0.1", 0}};
-  auto a = make_socket_transport(GetParam(), 0, peers);
+  auto a = EpollNetwork::create(0, peers);
   if (!a.ok()) GTEST_SKIP() << "no localhost sockets: " << a.error().to_string();
-  auto b = make_socket_transport(GetParam(), 1, peers);
+  auto b = EpollNetwork::create(1, peers);
   ASSERT_TRUE(b.ok()) << b.error().to_string();
   a.value()->update_peer(1, {"127.0.0.1", b.value()->bound_port()});
   b.value()->update_peer(0, {"127.0.0.1", a.value()->bound_port()});
@@ -569,15 +464,15 @@ TEST_P(SocketTransportSuite, LoopbackDeliveryBothDirections) {
   b.value()->shutdown();
 }
 
-TEST_P(SocketTransportSuite, LearnedRouteRepliesToEphemeralClient) {
+TEST(SocketTransportSuite, LearnedRouteRepliesToEphemeralClient) {
   // A client outside the server's static table (the hfq convention): the
   // server must answer over the connection the request arrived on.
   std::vector<TcpPeer> server_peers = {{"127.0.0.1", 0}};
-  auto server = make_socket_transport(GetParam(), 0, server_peers);
+  auto server = EpollNetwork::create(0, server_peers);
   if (!server.ok()) GTEST_SKIP() << "no localhost sockets";
   std::vector<TcpPeer> client_peers = {
       {"127.0.0.1", server.value()->bound_port()}};
-  auto client = make_socket_transport(GetParam(), 7, client_peers);
+  auto client = EpollNetwork::create(7, client_peers);
   ASSERT_TRUE(client.ok()) << client.error().to_string();
 
   ASSERT_TRUE(client.value()->send(0, sample_message()).ok());
@@ -595,9 +490,9 @@ TEST_P(SocketTransportSuite, LearnedRouteRepliesToEphemeralClient) {
   server.value()->shutdown();
 }
 
-TEST_P(SocketTransportSuite, SelfSendAndShutdownSemantics) {
+TEST(SocketTransportSuite, SelfSendAndShutdownSemantics) {
   std::vector<TcpPeer> peers = {{"127.0.0.1", 0}};
-  auto a = make_socket_transport(GetParam(), 0, peers);
+  auto a = EpollNetwork::create(0, peers);
   if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
   ASSERT_TRUE(a.value()->send(0, sample_message()).ok());
   EXPECT_TRUE(a.value()->recv(kLong).has_value());
@@ -608,16 +503,14 @@ TEST_P(SocketTransportSuite, SelfSendAndShutdownSemantics) {
   EXPECT_EQ(r.error().code, Errc::kClosed);
 }
 
-TEST_P(SocketTransportSuite, UndecodableFrameDroppedConnectionSurvives) {
+TEST(SocketTransportSuite, UndecodableFrameDroppedConnectionSurvives) {
   // A garbage body behind an honest length prefix must cost exactly that
   // frame — counted and logged, not the whole connection (frames behind it
   // still arrive).
   std::vector<TcpPeer> peers = {{"127.0.0.1", 0}};
-  auto a = make_socket_transport(GetParam(), 0, peers);
+  auto a = EpollNetwork::create(0, peers);
   if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
-  const std::string metric = GetParam() == TcpBackend::kEpoll
-                                 ? "net.epoll.frame_drops"
-                                 : "net.tcp.frame_drops";
+  const std::string metric = "net.epoll.frame_drops";
   const std::uint64_t drops_before = metrics().counter(metric).value();
 
   RawClient raw;
@@ -633,15 +526,13 @@ TEST_P(SocketTransportSuite, UndecodableFrameDroppedConnectionSurvives) {
   a.value()->shutdown();
 }
 
-TEST_P(SocketTransportSuite, OversizedFrameKillsConnectionLoudly) {
+TEST(SocketTransportSuite, OversizedFrameKillsConnectionLoudly) {
   // A length prefix past the 64 MiB cap has no resync point: the frame is
   // counted and the connection dies, before any giant allocation.
   std::vector<TcpPeer> peers = {{"127.0.0.1", 0}};
-  auto a = make_socket_transport(GetParam(), 0, peers);
+  auto a = EpollNetwork::create(0, peers);
   if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
-  const std::string metric = GetParam() == TcpBackend::kEpoll
-                                 ? "net.epoll.frame_drops"
-                                 : "net.tcp.frame_drops";
+  const std::string metric = "net.epoll.frame_drops";
   const std::uint64_t drops_before = metrics().counter(metric).value();
 
   RawClient raw;
@@ -663,13 +554,6 @@ TEST_P(SocketTransportSuite, OversizedFrameKillsConnectionLoudly) {
   EXPECT_FALSE(a.value()->recv(kShort).has_value());
   a.value()->shutdown();
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, SocketTransportSuite,
-                         ::testing::Values(TcpBackend::kThreaded,
-                                           TcpBackend::kEpoll),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 // --- EpollNetwork: backpressure contract --------------------------------
 
@@ -731,8 +615,8 @@ TEST(EpollNetwork, FullQueueRejectsBusyAndDrainReopens) {
 
 TEST(EpollNetwork, DeadPeerTombstoneFailsNextSendLoudly) {
   // Asynchronous failure surfaces at the protocol's retry boundary: queued
-  // frames on a refused connection are dropped (counted), the next send
-  // fails kIo, and the one after reconnects (here: to a revived listener).
+  // frames on a refused connection are dropped (counted) and a later send
+  // fails kIo.
   RawListener closed_probe;
   ASSERT_TRUE(closed_probe.open());
   const std::uint16_t dead_port = closed_probe.port;
@@ -744,8 +628,8 @@ TEST(EpollNetwork, DeadPeerTombstoneFailsNextSendLoudly) {
   if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
 
   // The first send usually enqueues against the in-flight connect and
-  // "succeeds"; the refusal then lands on the loop asynchronously and the
-  // tombstone makes a later send fail kIo. (A kernel that refuses the
+  // "succeeds"; the refusal then lands on the loop asynchronously and marks
+  // the peer down, so a later send fails kIo. (A kernel that refuses the
   // connect synchronously surfaces kIo on the spot — equally loud.)
   bool saw_io = false;
   for (int i = 0; i < 500 && !saw_io; ++i) {
@@ -760,157 +644,196 @@ TEST(EpollNetwork, DeadPeerTombstoneFailsNextSendLoudly) {
   a.value()->shutdown();
 }
 
-// --- TcpNetwork regressions: the three bugs the epoll work surfaced ----
+TEST(EpollNetwork, SendToKnownDownPeerFailsWithoutQueueing) {
+  // Sticky down: once a peer's connection has died, every send to it fails
+  // kIo on the spot and queues nothing — the caller repays the frame's
+  // weight now — until a reconnect probe gets through. A one-shot failure
+  // followed by a send that queues onto a fresh doomed connect would lose
+  // that frame's weight silently.
+  RawListener closed_probe;
+  ASSERT_TRUE(closed_probe.open());
+  const std::uint16_t dead_port = closed_probe.port;
+  ::close(closed_probe.fd);
+  closed_probe.fd = -1;
 
-TEST(TcpNetwork, SlowPeerDoesNotBlockSendsToOtherPeers) {
-  // Head-of-line blocking regression: a global send lock held across the
-  // socket write serialized ALL peers behind the slowest one. With
-  // per-connection locks, a send to a healthy peer completes while another
-  // thread is wedged writing to a peer that never reads.
+  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}, {"127.0.0.1", dead_port}};
+  auto a = EpollNetwork::create(0, peers);
+  if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
+
+  // The first send queues on the connect; the refusal lands on the loop.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (a.value()->send(1, sample_message()).ok()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "refused connect never marked the peer down";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  const std::uint64_t sent = a.value()->stats().messages_sent;
+  Counter& dropped = metrics().counter("net.epoll.dropped_frames");
+  const std::uint64_t dropped_before = dropped.value();
+  // 20 sends 2ms apart span several reconnect probes, all refused.
+  for (int i = 0; i < 20; ++i) {
+    auto r = a.value()->send(1, sample_message());
+    ASSERT_FALSE(r.ok()) << "send " << i << " to a down peer was queued";
+    EXPECT_EQ(r.error().code, Errc::kIo) << r.error().to_string();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(a.value()->stats().messages_sent, sent);
+  EXPECT_EQ(dropped.value(), dropped_before);
+  EXPECT_FALSE(a.value()->has_route(1));
+  a.value()->shutdown();
+}
+
+TEST(EpollNetwork, DeadPeerRoutePurgedAndResendDeliveredAfterRestart) {
+  // When a peer dies its route vanishes as soon as the loop sees the EOF,
+  // sends fail loudly while it is gone, and once it is back on its port a
+  // reconnect probe restores delivery without any caller intervention.
+  std::vector<TcpPeer> boot = {{"127.0.0.1", 0}, {"127.0.0.1", 0}};
+  auto b1 = EpollNetwork::create(1, boot);
+  if (!b1.ok()) GTEST_SKIP() << "no localhost sockets";
+  const std::uint16_t port = b1.value()->bound_port();
+  // `a` knows site 1 by a fixed address, so it can reconnect unaided.
+  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}, {"127.0.0.1", port}};
+  auto a = EpollNetwork::create(0, peers);
+  ASSERT_TRUE(a.ok()) << a.error().to_string();
+
+  ASSERT_TRUE(a.value()->send(1, sample_message()).ok());
+  ASSERT_TRUE(b1.value()->recv(kLong).has_value());
+  EXPECT_TRUE(a.value()->has_route(1));
+
+  b1.value()->shutdown();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (a.value()->has_route(1)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "dead route never purged";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  auto r = a.value()->send(1, sample_message());
+  ASSERT_FALSE(r.ok()) << "send to a dead peer was queued";
+  EXPECT_EQ(r.error().code, Errc::kIo);
+
+  // The peer comes back on the same port; kernel TIME_WAIT can delay the
+  // rebind briefly.
+  Result<std::unique_ptr<EpollNetwork>> b2 = make_error(Errc::kIo, "unbound");
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    b2 = EpollNetwork::create(1, peers);
+    if (b2.ok()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  if (!b2.ok()) GTEST_SKIP() << "could not rebind port " << port;
+
+  while (!a.value()->send(1, sample_message()).ok()) {
+    ASSERT_LT(std::chrono::steady_clock::now(),
+              deadline + std::chrono::seconds(5))
+        << "restarted peer never became reachable again";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(b2.value()->recv(kLong).has_value())
+      << "the first accepted send after the restart was not delivered";
+  a.value()->shutdown();
+  b2.value()->shutdown();
+}
+
+TEST(EpollNetwork, PeerDeathAndRevivalAreReported) {
+  // The owner hears about a dead connection without sending anything (a
+  // parked recv() wakes for it), and again once the peer is back.
+  std::vector<TcpPeer> boot = {{"127.0.0.1", 0}, {"127.0.0.1", 0}};
+  auto b1 = EpollNetwork::create(1, boot);
+  if (!b1.ok()) GTEST_SKIP() << "no localhost sockets";
+  const std::uint16_t port = b1.value()->bound_port();
+  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}, {"127.0.0.1", port}};
+  auto a = EpollNetwork::create(0, peers);
+  ASSERT_TRUE(a.ok()) << a.error().to_string();
+  ASSERT_TRUE(a.value()->send(1, sample_message()).ok());
+  ASSERT_TRUE(b1.value()->recv(kLong).has_value());
+  EXPECT_TRUE(a.value()->take_peer_events().empty());
+
+  std::thread killer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    b1.value()->shutdown();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(a.value()->recv(Duration(5'000'000)).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
+      << "the death report did not wake the parked recv()";
+  killer.join();
+  EXPECT_EQ(a.value()->take_peer_events(),
+            (std::vector<PeerEvent>{{1, /*up=*/false}}));
+
+  Result<std::unique_ptr<EpollNetwork>> b2 = make_error(Errc::kIo, "unbound");
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    b2 = EpollNetwork::create(1, peers);
+    if (b2.ok()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  if (!b2.ok()) GTEST_SKIP() << "could not rebind port " << port;
+  std::vector<PeerEvent> events;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (events.empty()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "revived peer never reported";
+    (void)a.value()->recv(Duration(50'000));
+    events = a.value()->take_peer_events();
+  }
+  EXPECT_EQ(events, (std::vector<PeerEvent>{{1, /*up=*/true}}));
+  EXPECT_TRUE(a.value()->send(1, sample_message()).ok());
+  EXPECT_TRUE(b2.value()->recv(kLong).has_value());
+  a.value()->shutdown();
+  b2.value()->shutdown();
+}
+
+TEST(EpollNetwork, SlowPeerDoesNotBlockSendsToOtherPeers) {
+  // Head-of-line isolation: a peer that never reads fills only its own
+  // bounded queue. Sends to it fail kBusy; a send to a healthy peer is
+  // accepted and delivered promptly.
   RawListener slow;
   if (!slow.open(/*rcvbuf=*/4096)) GTEST_SKIP() << "no localhost sockets";
   std::vector<TcpPeer> boot = {{"127.0.0.1", 0}, {"127.0.0.1", slow.port},
                                {"127.0.0.1", 0}};
-  auto fast = TcpNetwork::create(2, boot);
+  auto fast = EpollNetwork::create(2, boot);
   ASSERT_TRUE(fast.ok()) << fast.error().to_string();
   std::vector<TcpPeer> peers = {{"127.0.0.1", 0},
                                 {"127.0.0.1", slow.port},
                                 {"127.0.0.1", fast.value()->bound_port()}};
-  auto a = TcpNetwork::create(0, peers);
+  EpollOptions opts;
+  opts.max_queue_frames = 4;
+  auto a = EpollNetwork::create(0, peers, opts);
   ASSERT_TRUE(a.ok()) << a.error().to_string();
 
-  // Accept the slow connection but never read from it.
-  std::atomic<int> slow_conn{-1};
-  std::atomic<bool> wedged{false};
-  std::thread wedger([&] {
-    // Big frames fill the tiny receive window plus the local send buffer,
-    // then write_all() blocks — the "slow peer" in its steady state.
-    for (int i = 0; i < 200; ++i) {
-      wedged.store(true);
-      if (!a.value()->send(1, big_message(300'000)).ok()) break;
+  bool saw_busy = false;
+  for (int i = 0; i < 200 && !saw_busy; ++i) {
+    auto r = a.value()->send(1, big_message(300'000));
+    if (!r.ok()) {
+      ASSERT_EQ(r.error().code, Errc::kBusy) << r.error().to_string();
+      saw_busy = true;
     }
-  });
-  std::thread acceptor([&] { slow_conn.store(slow.accept_one()); });
-
-  // Give the wedger time to actually jam against the full buffers.
-  while (!wedged.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  ASSERT_TRUE(saw_busy) << "the slow peer's queue never filled";
 
   const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(a.value()->send(2, sample_message()).ok());
+  ASSERT_TRUE(a.value()->send(2, sample_message()).ok())
+      << "a full queue to one peer rejected a send to another";
   auto env = fast.value()->recv(kLong);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   ASSERT_TRUE(env.has_value())
-      << "send to healthy peer starved behind the wedged one";
+      << "send to healthy peer starved behind the slow one";
   EXPECT_LT(elapsed, std::chrono::seconds(2));
+  auto still = a.value()->send(1, big_message(300'000));
+  ASSERT_FALSE(still.ok());
+  EXPECT_EQ(still.error().code, Errc::kBusy);
 
-  // Unwedge: kill the slow socket so the blocked write errors out.
   a.value()->shutdown();
-  acceptor.join();
-  if (slow_conn.load() >= 0) ::close(slow_conn.load());
-  wedger.join();
   fast.value()->shutdown();
 }
 
-TEST(TcpNetwork, BlockedConnectDoesNotFreezeRouting) {
-  // Lock-held-connect regression: ::connect used to run inside conn_mu_, so
-  // one unresponsive peer froze has_route() — the liveness probe — and route
-  // learning for the whole connect timeout.
-  //
-  // Tarpit: a backlog-1 listener whose accept queue we fill and never drain.
-  // The kernel then drops further SYNs, so connects to it sit in SYN_SENT
-  // until SO_SNDTIMEO (3s) fires — a local, routable stand-in for a
-  // blackholed peer.
-  const int tarpit = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(tarpit, 0);
-  sockaddr_in tp_addr{};
-  tp_addr.sin_family = AF_INET;
-  tp_addr.sin_port = 0;
-  ::inet_pton(AF_INET, "127.0.0.1", &tp_addr.sin_addr);
-  ASSERT_EQ(::bind(tarpit, reinterpret_cast<sockaddr*>(&tp_addr),
-                   sizeof tp_addr),
-            0);
-  ASSERT_EQ(::listen(tarpit, 1), 0);
-  socklen_t tp_len = sizeof tp_addr;
-  ASSERT_EQ(::getsockname(tarpit, reinterpret_cast<sockaddr*>(&tp_addr),
-                          &tp_len),
-            0);
-  const std::uint16_t tarpit_port = ntohs(tp_addr.sin_port);
-  std::vector<int> fillers;
-  for (int i = 0; i < 4; ++i) {
-    const int f = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    ASSERT_GE(f, 0);
-    (void)::connect(f, reinterpret_cast<sockaddr*>(&tp_addr), sizeof tp_addr);
-    fillers.push_back(f);
-  }
-  const auto close_tarpit = [&] {
-    for (int f : fillers) ::close(f);
-    ::close(tarpit);
-  };
-  {
-    // Probe: a fresh connect must still be pending after a beat, or this
-    // kernel config (e.g. tcp_abort_on_overflow) can't wedge a connect.
-    const int probe = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    ASSERT_GE(probe, 0);
-    const int rc = ::connect(probe, reinterpret_cast<sockaddr*>(&tp_addr),
-                             sizeof tp_addr);
-    bool still_pending = rc < 0 && errno == EINPROGRESS;
-    if (still_pending) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(300));
-      int err = 0;
-      socklen_t len = sizeof err;
-      ::getsockopt(probe, SOL_SOCKET, SO_ERROR, &err, &len);
-      char c;
-      still_pending = err == 0 && ::recv(probe, &c, 1, MSG_DONTWAIT) < 0 &&
-                      (errno == EAGAIN || errno == EWOULDBLOCK ||
-                       errno == ENOTCONN);
-    }
-    ::close(probe);
-    if (!still_pending) {
-      close_tarpit();
-      GTEST_SKIP() << "full accept queue does not wedge connects here";
-    }
-  }
-
-  std::vector<TcpPeer> peers = {{"127.0.0.1", 0},
-                                {"127.0.0.1", tarpit_port},
-                                {"127.0.0.1", 0}};
-  auto a = TcpNetwork::create(0, peers);
-  if (!a.ok()) {
-    close_tarpit();
-    GTEST_SKIP() << "no localhost sockets";
-  }
-
-  std::atomic<bool> started{false};
-  std::thread dialer([&] {
-    started.store(true);
-    // Blocks in connect() for the SO_SNDTIMEO bound (3s), then fails.
-    EXPECT_FALSE(a.value()->send(1, sample_message()).ok());
-  });
-  while (!started.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  // While the dialer is wedged inside connect(), the routing surface must
-  // answer immediately: pre-fix, these blocked on conn_mu_ for seconds.
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(a.value()->has_route(1));
-  ASSERT_TRUE(a.value()->send(0, sample_message()).ok());  // self route
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(elapsed, std::chrono::milliseconds(500))
-      << "routing froze behind a blocked connect";
-
-  dialer.join();
-  a.value()->shutdown();
-  close_tarpit();
-}
-
-TEST(TcpNetwork, ConnectionChurnDoesNotLeakReadersOrFds) {
-  // Fd/thread-leak regression: readers_ and their fds only shrank at
-  // shutdown, so a server outlived by N short-lived clients accumulated N
-  // parked threads and N open fds. Reaping keeps both proportional to LIVE
-  // connections.
+TEST(EpollNetwork, ConnectionChurnDoesNotLeakFds) {
+  // A server outliving N short-lived clients must hold fds proportional to
+  // its LIVE connections: the loop closes each one when it sees the EOF.
   std::vector<TcpPeer> server_peers = {{"127.0.0.1", 0}};
-  auto server = TcpNetwork::create(0, server_peers);
+  auto server = EpollNetwork::create(0, server_peers);
   if (!server.ok()) GTEST_SKIP() << "no localhost sockets";
   const std::uint16_t port = server.value()->bound_port();
 
@@ -924,76 +847,29 @@ TEST(TcpNetwork, ConnectionChurnDoesNotLeakReadersOrFds) {
     }
     return n;
   };
-
-  // Warm up one cycle so lazily-created fds (epoll instances, log files)
-  // don't pollute the baseline.
-  for (int i = 0; i < 2; ++i) {
+  const auto cycle = [&](SiteId client_id) {
     std::vector<TcpPeer> client_peers = {{"127.0.0.1", port}};
-    auto client = TcpNetwork::create(100 + i, client_peers);
-    ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(client.value()->send(0, sample_message()).ok());
-    ASSERT_TRUE(server.value()->recv(kLong).has_value());
-    client.value()->shutdown();
-  }
-  const int fds_before = count_fds();
-
-  constexpr int kCycles = 30;
-  for (int i = 0; i < kCycles; ++i) {
-    std::vector<TcpPeer> client_peers = {{"127.0.0.1", port}};
-    auto client = TcpNetwork::create(200 + i, client_peers);
+    auto client = EpollNetwork::create(client_id, client_peers);
     ASSERT_TRUE(client.ok()) << client.error().to_string();
     ASSERT_TRUE(client.value()->send(0, sample_message()).ok());
     ASSERT_TRUE(server.value()->recv(kLong).has_value());
     client.value()->shutdown();
-  }
-  // Readers notice the EOFs on their own schedule; reap until quiesced.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (server.value()->live_readers() > 2) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "exited readers never reaped: " << server.value()->live_readers()
-        << " still live after " << kCycles << " disconnects";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  const int fds_after = count_fds();
-  EXPECT_LE(fds_after, fds_before + 4)
-      << "fd count grew with lifetime connections, not live ones";
-  server.value()->shutdown();
-}
+  };
 
-TEST(TcpNetwork, FailedSendOnLearnedRouteFreesTheReader) {
-  // The learned-route half of the leak: a failed send to a site known only
-  // by a learned route used to erase the map entry but never shut the fd
-  // down, leaving that reader parked on a dead socket forever.
-  std::vector<TcpPeer> server_peers = {{"127.0.0.1", 0}};
-  auto server = TcpNetwork::create(0, server_peers);
-  if (!server.ok()) GTEST_SKIP() << "no localhost sockets";
+  // Warm up so lazily-created fds (log files and the like) don't pollute
+  // the baseline.
+  for (SiteId i = 0; i < 2; ++i) cycle(100 + i);
+  const int fds_before = count_fds();
 
-  {
-    std::vector<TcpPeer> client_peers = {{"127.0.0.1",
-                                          server.value()->bound_port()}};
-    auto client = TcpNetwork::create(7, client_peers);
-    ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(client.value()->send(0, sample_message()).ok());
-    ASSERT_TRUE(server.value()->recv(kLong).has_value());
-    EXPECT_TRUE(server.value()->has_route(7));
-    client.value()->shutdown();
-  }
-
-  // The client is gone. Replies eventually fail (the first may land in the
-  // kernel buffer before the RST comes back); the failure must tear the
-  // learned route AND its reader down.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (server.value()->has_route(7)) {
+  constexpr SiteId kCycles = 30;
+  for (SiteId i = 0; i < kCycles; ++i) cycle(200 + i);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (count_fds() > fds_before + 4) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "learned route to a dead client never died";
-    (void)server.value()->send(7, sample_message());
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  while (server.value()->live_readers() > 0) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "reader for the dead learned route never reaped";
+        << "fd count grew with lifetime connections, not live ones: "
+        << count_fds() << " vs " << fds_before << " before " << kCycles
+        << " connect/close cycles";
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   server.value()->shutdown();

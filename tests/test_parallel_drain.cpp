@@ -12,7 +12,7 @@
 #include "common/rng.hpp"
 #include "dist/cluster.hpp"
 #include "engine/local_engine.hpp"
-#include "net/tcp.hpp"
+#include "net/epoll.hpp"
 #include "test_helpers.hpp"
 
 namespace hyperfile {
@@ -264,9 +264,9 @@ struct TcpGraphDeployment {
   TcpGraphDeployment(std::uint64_t seed, SiteServerOptions options) {
     constexpr SiteId kSites = 3;
     std::vector<TcpPeer> zeros(kSites + 1, TcpPeer{"127.0.0.1", 0});
-    std::vector<std::unique_ptr<TcpNetwork>> nets;
+    std::vector<std::unique_ptr<EpollNetwork>> nets;
     for (SiteId s = 0; s <= kSites; ++s) {
-      auto net = TcpNetwork::create(s, zeros);
+      auto net = EpollNetwork::create(s, zeros);
       if (!net.ok()) return;  // no sockets in this environment
       nets.push_back(std::move(net).value());
     }

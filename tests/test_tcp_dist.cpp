@@ -7,7 +7,7 @@
 
 #include "dist/client.hpp"
 #include "dist/site_server.hpp"
-#include "net/tcp.hpp"
+#include "net/epoll.hpp"
 #include "test_helpers.hpp"
 
 namespace hyperfile {
@@ -23,9 +23,9 @@ struct TcpDeployment {
 
   explicit TcpDeployment(SiteId sites) {
     std::vector<TcpPeer> zeros(sites + 1, TcpPeer{"127.0.0.1", 0});
-    std::vector<std::unique_ptr<TcpNetwork>> nets;
+    std::vector<std::unique_ptr<EpollNetwork>> nets;
     for (SiteId s = 0; s <= sites; ++s) {
-      auto net = TcpNetwork::create(s, zeros);
+      auto net = EpollNetwork::create(s, zeros);
       if (!net.ok()) return;  // no sockets in this environment
       nets.push_back(std::move(net).value());
     }

@@ -15,7 +15,7 @@
 #include "dist/cluster.hpp"
 #include "dist/site_server.hpp"
 #include "net/faulty.hpp"
-#include "net/tcp.hpp"
+#include "net/epoll.hpp"
 #include "test_helpers.hpp"
 
 namespace hyperfile {
@@ -194,9 +194,9 @@ TEST(TraceEndToEnd, DuplicateRedeliveryNeverDoubleRecords) {
 TEST(TraceEndToEnd, TcpChainReportsHopPathPerSite) {
   constexpr SiteId kSites = 3;
   std::vector<TcpPeer> zeros(kSites + 1, TcpPeer{"127.0.0.1", 0});
-  std::vector<std::unique_ptr<TcpNetwork>> nets;
+  std::vector<std::unique_ptr<EpollNetwork>> nets;
   for (SiteId s = 0; s <= kSites; ++s) {
-    auto net = TcpNetwork::create(s, zeros);
+    auto net = EpollNetwork::create(s, zeros);
     if (!net.ok()) GTEST_SKIP() << "no localhost sockets";
     nets.push_back(std::move(net).value());
   }

@@ -2,12 +2,16 @@
 """CI gate for availability under a primary kill (DESIGN.md §18).
 
 Reads a BENCH_availability.json produced by bench/bench_availability and
-fails unless, in every measured cell (backend × detector × replication):
+fails unless, in every measured cell (detector × replication):
 
   * **zero wrong results, ever** — a query during the kill window is
     either exact or a duplicate-free subset flagged `partial`; a cell
     with `wrong > 0` fails regardless of its success rate, and so does
     `failed > 0` (a hung or errored query);
+  * **no query waited for the TTL** — the worst query latency (`max_ms`)
+    stays below the cell's `context_ttl_ms`: a query whose weight was lost
+    must be answered partial by a failure signal, not by the idle-context
+    sweep;
 
 and additionally, in every *replicated* cell:
 
@@ -17,7 +21,10 @@ and additionally, in every *replicated* cell:
   * **failover actually served** — at least one exact answer arrived
     while the primary was still dead (`failovers > 0` and a positive
     `failover_ms`; -1 means no exact answer during the dead window), so
-    the success rate can't be met by partials alone.
+    the success rate can't be met by partials alone;
+  * **failover came from the failure signal** — `failover_ms` is below
+    the cell's `suspect_after_ms`: the dead primary was noticed through
+    its failed sends, not by waiting out the silence window.
 
 The control cells (replication off) are the contrast, not the product:
 they must stay honest (zero wrong, zero hung) but are exempt from the
@@ -72,11 +79,25 @@ def main(argv: list[str]) -> int:
         print(f"{config}: attempted {attempted:.0f}, "
               f"success {rate:.4f}, wrong {wrong:.0f}, failed {failed:.0f}, "
               f"failover {c.get('failover_ms', 0):.1f}ms, "
-              f"revived {c.get('revived_ms', 0):.1f}ms")
+              f"revived {c.get('revived_ms', 0):.1f}ms, "
+              f"max latency {c.get('max_ms', 0):.1f}ms")
         if attempted <= 0:
             print(f"FAIL: {config} attempted no queries", file=sys.stderr)
             ok = False
             continue
+        missing = [k for k in ("suspect_after_ms", "context_ttl_ms",
+                               "max_ms") if k not in c]
+        if missing:
+            print(f"FAIL: {config} lacks counter(s) {missing}",
+                  file=sys.stderr)
+            ok = False
+            continue
+        if c["max_ms"] >= c["context_ttl_ms"]:
+            print(f"FAIL: {config} worst query took {c['max_ms']:.1f}ms >= "
+                  f"the {c['context_ttl_ms']:.0f}ms context TTL — a query "
+                  f"waited for the idle sweep instead of a failure signal",
+                  file=sys.stderr)
+            ok = False
         if wrong > 0:
             print(f"FAIL: {config} returned {wrong:.0f} wrong result(s) — "
                   f"a failed-over answer must be exact or flagged partial, "
@@ -100,6 +121,13 @@ def main(argv: list[str]) -> int:
         if c.get("failover_ms", -1) <= 0:
             print(f"FAIL: {config} served no exact answer while the "
                   f"primary was dead", file=sys.stderr)
+            ok = False
+        elif c["failover_ms"] >= c["suspect_after_ms"]:
+            print(f"FAIL: {config} failed over after "
+                  f"{c['failover_ms']:.1f}ms >= the "
+                  f"{c['suspect_after_ms']:.0f}ms silence window — the "
+                  f"death was noticed by silence, not by a failure signal",
+                  file=sys.stderr)
             ok = False
 
     if not ok:

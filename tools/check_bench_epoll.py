@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""CI gate for the epoll transport's connection scaling (DESIGN.md §17).
+"""CI gate for the socket transport's connection scaling (DESIGN.md §17).
 
-Reads a BENCH_epoll.json produced by bench/bench_epoll and fails unless the
-epoll backend, at every measured configuration of 100+ connections:
+Reads a BENCH_epoll.json produced by bench/bench_epoll and fails unless,
+at every measured configuration of 100+ connections, the transport:
 
   * delivered every frame it was sent (no silent loss under load),
   * held a bounded fd count (at most --fd-slack fds beyond the ~2 per
-    connection the deployment itself opens — i.e. no leak), and
-  * sustained at least the threaded backend's 5-connection throughput
-    (the floor from the PR that introduced the event loop: scaling out
-    connections must not cost the baseline's single-digit performance).
+    connection the deployment itself opens — i.e. no leak),
+  * ran exactly as many threads as at 5 connections (one event loop holds
+    every connection; threads must not grow with connections), and
+  * sustained at least --min-ratio (default 0.5) of the same run's
+    5-connection throughput (scaling out connections must not collapse
+    the rate).
+
+The 5-connection row is the baseline because it is measured in the same
+run on the same host. (The floor used to be the retired thread-per-
+connection backend's 5-connection rate; EXPERIMENTS.md freezes it.)
 
 The bench binary itself exits nonzero when any configuration loses frames,
 so by the time this script runs a fresh artifact, delivery has usually
@@ -18,6 +24,7 @@ artifacts.
 
 Usage:
     check_bench_epoll.py BENCH_epoll.json [--min-conns 100] [--fd-slack 64]
+                         [--min-ratio 0.5]
 
 Exit codes: 0 pass, 1 floor missed or row absent, 2 unreadable input.
 """
@@ -38,6 +45,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--fd-slack", type=int, default=64,
                         help="fds allowed beyond 2 per connection "
                              "(default 64)")
+    parser.add_argument("--min-ratio", type=float, default=0.5,
+                        help="minimum throughput relative to the "
+                             "5-connection row (default 0.5)")
     args = parser.parse_args(argv)
 
     try:
@@ -50,12 +60,13 @@ def main(argv: list[str]) -> int:
     records = data.get("records", [])
     rows = {r.get("config"): r for r in records}
 
-    baseline = rows.get("threaded,conns=5")
+    baseline = rows.get("epoll,conns=5")
     if baseline is None:
-        print(f"error: no 'threaded,conns=5' record in {args.json_path} "
+        print(f"error: no 'epoll,conns=5' record in {args.json_path} "
               f"(have: {sorted(rows)})", file=sys.stderr)
         return 1
-    floor = baseline.get("mean", 0.0)
+    floor = args.min_ratio * baseline.get("mean", 0.0)
+    base_threads = baseline.get("counters", {}).get("threads", -1)
 
     gated = [r for r in records
              if r.get("config", "").startswith("epoll,")
@@ -73,10 +84,12 @@ def main(argv: list[str]) -> int:
         delivered = counters.get("delivered", 0)
         expected = counters.get("expected", -1)
         fds = counters.get("fds", 0)
+        threads = counters.get("threads", -1)
         fd_ceiling = 2 * conns + args.fd_slack
         rate = row.get("mean", 0.0)
         print(f"{config}: {rate:.0f} msgs/s (floor {floor:.0f}), "
               f"fds {fds:.0f} (ceiling {fd_ceiling:.0f}), "
+              f"threads {threads:.0f} (5 conns: {base_threads:.0f}), "
               f"delivered {delivered:.0f}/{expected:.0f}")
         if delivered != expected:
             print(f"FAIL: {config} lost frames under load", file=sys.stderr)
@@ -86,9 +99,15 @@ def main(argv: list[str]) -> int:
                   f"{fd_ceiling:.0f} — the transport is leaking descriptors",
                   file=sys.stderr)
             ok = False
+        if threads != base_threads:
+            print(f"FAIL: {config} runs {threads:.0f} threads, the "
+                  f"5-connection row {base_threads:.0f} — threads grow with "
+                  f"connections", file=sys.stderr)
+            ok = False
         if rate < floor:
-            print(f"FAIL: {config} sustains {rate:.0f} msgs/s < the threaded "
-                  f"backend's 5-connection floor {floor:.0f}", file=sys.stderr)
+            print(f"FAIL: {config} sustains {rate:.0f} msgs/s < "
+                  f"{args.min_ratio} x the 5-connection rate "
+                  f"({floor:.0f})", file=sys.stderr)
             ok = False
 
     if not ok:

@@ -115,9 +115,7 @@ DEDUP_GUARD_ALLOWED_CALLS = {"counter", "inc", "metrics", "add", "gauge",
 # ("Class::mutex_field", "Class::mutex_field") pairs. Everything not listed
 # here must be a leaf (DESIGN.md §10 rule 2); hfverify --lock-order fails on
 # any new edge or cycle, and cross-checks this table against the §10 prose.
-SANCTIONED_LOCK_EDGES = {
-    ("TcpNetwork::conn_mu_", "TcpNetwork::readers_mu_"),
-}
+SANCTIONED_LOCK_EDGES: set = set()
 
 # Field names whose type marks them as a lockable for the lock-order rule.
 MUTEX_TYPE_IDS = {"Mutex"}

@@ -45,10 +45,10 @@ _SLEEP_CALLS = {"sleep_for", "sleep_until"}
 # Socket syscalls that park the calling thread until the kernel has news:
 # connection handshakes, accept queues, readiness waits. Flagged on
 # event-loop paths like sleeps are — an event loop that blocks in connect()
-# freezes every connection it multiplexes (the net/tcp.cpp lock-held-connect
-# bug, found the hard way). Non-blocking uses (O_NONBLOCK sockets, the
-# loop's own bounded epoll_wait) carry allow-blocking waivers naming the
-# bound.
+# freezes every connection it multiplexes (the lock-held-connect bug of the
+# retired thread-per-connection backend, found the hard way). Non-blocking
+# uses (O_NONBLOCK sockets, the loop's own bounded epoll_wait) carry
+# allow-blocking waivers naming the bound.
 _SOCKET_WAIT_CALLS = {"connect", "accept", "accept4", "poll", "select",
                       "epoll_wait", "epoll_pwait"}
 

@@ -13,8 +13,8 @@ field name is looked up in the enclosing class (and its bases), then in any
 class with a Mutex-typed field of that name.
 
 The check then enforces §10's rules mechanically: every observed edge must
-be in the sanctioned table (`allowlist.SANCTIONED_LOCK_EDGES` — today just
-`TcpNetwork::conn_mu_ → readers_mu_`), everything else is a leaf, and the
+be in the sanctioned table (`allowlist.SANCTIONED_LOCK_EDGES` — today
+empty), everything else is a leaf, and the
 graph must be acyclic. The sanctioned table itself is cross-checked against
 the DESIGN.md §10 capability table ("before `x_`"/"after `y_`" cells) so
 code, tool, and document cannot drift apart silently.
