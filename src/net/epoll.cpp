@@ -342,7 +342,8 @@ void EpollNetwork::connected(const ConnPtr& conn) {
   bool adopted = false;
   {
     // A probe that connects ends the outage and becomes the peer's
-    // connection (sends do not dial a down peer, so conns_ holds none).
+    // connection. conns_ holds none: sends do not dial a down peer, and a
+    // peer is never marked down while it has an outbound connection.
     MutexLock lock(conn_mu_);
     auto it = down_.find(conn->probe_for);
     if (it != down_.end() && it->second.probe == conn) {
@@ -540,6 +541,12 @@ void EpollNetwork::purge_routes(const ConnPtr& conn,
     const auto route_died = [&](SiteId site) {
       if (site >= peers_.size()) {
         failed_[site] = reason;  // learned route: cannot redial
+        return;
+      }
+      if (auto out = conns_.find(site);
+          out != conns_.end() && out->second != conn) {
+        // Only an inbound connection died; sends to the peer use the
+        // outbound one, which is still up. Its own death reports the peer.
         return;
       }
       if (down_.try_emplace(site, Outage{reason, nullptr, now + kFirstProbe,

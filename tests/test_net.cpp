@@ -785,6 +785,50 @@ TEST(EpollNetwork, PeerDeathAndRevivalAreReported) {
   b2.value()->shutdown();
 }
 
+TEST(EpollNetwork, InboundDeathLeavesLiveOutboundRouteUp) {
+  // Only the connection a peer dialled in on dies (here: it sent an
+  // oversized frame). Sends to that peer use the outbound connection,
+  // which is still up, so the peer must not be reported or treated as
+  // down.
+  std::vector<TcpPeer> boot = {{"127.0.0.1", 0}, {"127.0.0.1", 0}};
+  auto b = EpollNetwork::create(1, boot);
+  if (!b.ok()) GTEST_SKIP() << "no localhost sockets";
+  std::vector<TcpPeer> peers = {{"127.0.0.1", 0},
+                                {"127.0.0.1", b.value()->bound_port()}};
+  auto a = EpollNetwork::create(0, peers);
+  ASSERT_TRUE(a.ok()) << a.error().to_string();
+  ASSERT_TRUE(a.value()->send(1, sample_message()).ok());
+  ASSERT_TRUE(b.value()->recv(kLong).has_value());
+
+  // An inbound connection speaking as site 1 becomes its learned route.
+  RawClient inbound;
+  ASSERT_TRUE(inbound.connect_to(a.value()->bound_port()));
+  ASSERT_TRUE(inbound.write_frame(
+      wire::encode_envelope(wire::Envelope{1, 0, sample_message()})));
+  ASSERT_TRUE(a.value()->recv(kLong).has_value());
+  const std::uint8_t huge[4] = {0x40, 0x00, 0x00, 0x01};
+  ASSERT_EQ(::send(inbound.fd, huge, 4, MSG_NOSIGNAL), 4);
+  std::uint8_t byte;
+  ASSERT_EQ(::recv(inbound.fd, &byte, 1, 0), 0) << "inbound not closed";
+  // The loop handles one event at a time: a frame from another connection
+  // arrives only after the closed connection's routes were purged.
+  RawClient other;
+  ASSERT_TRUE(other.connect_to(a.value()->bound_port()));
+  ASSERT_TRUE(other.write_frame(
+      wire::encode_envelope(wire::Envelope{7, 0, sample_message()})));
+  auto env = a.value()->recv(kLong);
+  ASSERT_TRUE(env.has_value());
+  EXPECT_EQ(env->src, 7u);
+
+  EXPECT_TRUE(a.value()->take_peer_events().empty());
+  EXPECT_TRUE(a.value()->has_route(1));
+  auto r = a.value()->send(1, sample_message());
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_TRUE(b.value()->recv(kLong).has_value());
+  a.value()->shutdown();
+  b.value()->shutdown();
+}
+
 TEST(EpollNetwork, SlowPeerDoesNotBlockSendsToOtherPeers) {
   // Head-of-line isolation: a peer that never reads fills only its own
   // bounded queue. Sends to it fail kBusy; a send to a healthy peer is

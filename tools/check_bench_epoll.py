@@ -9,7 +9,7 @@ at every measured configuration of 100+ connections, the transport:
     connection the deployment itself opens — i.e. no leak),
   * ran exactly as many threads as at 5 connections (one event loop holds
     every connection; threads must not grow with connections), and
-  * sustained at least --min-ratio (default 0.5) of the same run's
+  * sustained at least MIN_RATIO (0.5) of the same run's
     5-connection throughput (scaling out connections must not collapse
     the rate).
 
@@ -24,7 +24,6 @@ artifacts.
 
 Usage:
     check_bench_epoll.py BENCH_epoll.json [--min-conns 100] [--fd-slack 64]
-                         [--min-ratio 0.5]
 
 Exit codes: 0 pass, 1 floor missed or row absent, 2 unreadable input.
 """
@@ -34,6 +33,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+# A 100+ connection row must keep at least this share of the 5-connection
+# rate. The thread-per-connection design sustained 0.44-0.57x of it
+# (EXPERIMENTS.md), so 0.5 rejects a loop that scales no better.
+MIN_RATIO = 0.5
 
 
 def main(argv: list[str]) -> int:
@@ -45,9 +49,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--fd-slack", type=int, default=64,
                         help="fds allowed beyond 2 per connection "
                              "(default 64)")
-    parser.add_argument("--min-ratio", type=float, default=0.5,
-                        help="minimum throughput relative to the "
-                             "5-connection row (default 0.5)")
     args = parser.parse_args(argv)
 
     try:
@@ -65,7 +66,7 @@ def main(argv: list[str]) -> int:
         print(f"error: no 'epoll,conns=5' record in {args.json_path} "
               f"(have: {sorted(rows)})", file=sys.stderr)
         return 1
-    floor = args.min_ratio * baseline.get("mean", 0.0)
+    floor = MIN_RATIO * baseline.get("mean", 0.0)
     base_threads = baseline.get("counters", {}).get("threads", -1)
 
     gated = [r for r in records
@@ -106,7 +107,7 @@ def main(argv: list[str]) -> int:
             ok = False
         if rate < floor:
             print(f"FAIL: {config} sustains {rate:.0f} msgs/s < "
-                  f"{args.min_ratio} x the 5-connection rate "
+                  f"{MIN_RATIO} x the 5-connection rate "
                   f"({floor:.0f})", file=sys.stderr)
             ok = False
 
