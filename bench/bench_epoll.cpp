@@ -45,10 +45,14 @@ using namespace hyperfile::bench;
 
 namespace {
 
-constexpr int kMsgsPerConn = 200;
 // Frames per client write: bursts keep the pump's syscall cost off the
 // measurement so the hub's drain rate is the bottleneck under test.
 constexpr int kBurst = 20;
+// Frames timed per repeat, split evenly over the connections, so every row
+// times the same work — the 5-connection row is the gate's baseline and
+// must not be the shortest, noisiest measurement. A whole number of bursts
+// per connection for every row in main().
+constexpr int kFramesPerRun = 64'000;
 
 double count_dir(const char* path) {
   int n = 0;
@@ -100,8 +104,8 @@ struct ScaleSample {
   double threads = 0;
 };
 
-/// N raw clients each push kMsgsPerConn frames at the hub; false when the
-/// environment cannot produce the deployment.
+/// N raw clients each push kFramesPerRun / N frames at the hub; false when
+/// the environment cannot produce the deployment.
 bool run_scale_once(int conns, ScaleSample& out) {
   std::vector<TcpPeer> zeros(1, TcpPeer{"127.0.0.1", 0});
   auto hub = EpollNetwork::create(0, zeros);
@@ -157,11 +161,12 @@ bool run_scale_once(int conns, ScaleSample& out) {
     }
     bursts.push_back(std::move(burst));
   }
-  out.expected = static_cast<long>(conns) * kMsgsPerConn;
+  const int bursts_per_conn = kFramesPerRun / conns / kBurst;
+  out.expected = static_cast<long>(conns) * bursts_per_conn * kBurst;
   out.delivered = 0;
   const auto t0 = std::chrono::steady_clock::now();
   std::thread pump([&] {
-    for (int m = 0; m < kMsgsPerConn / kBurst; ++m) {
+    for (int m = 0; m < bursts_per_conn; ++m) {
       for (int i = 0; i < conns; ++i) {
         if (!write_all(fds_raw[i], bursts[i].data(), bursts[i].size())) {
           return;  // hub torn down; the delivered count records the loss

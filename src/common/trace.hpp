@@ -6,9 +6,9 @@
 // (client response time); a trace decomposes that number so a slow query
 // can be attributed to queue wait, filter scan, wire hops, or retries.
 //
-// Mechanism: every computation message (StartQuery / DerefRequest /
-// BatchDerefRequest) carries a hop number and the site path that produced
-// it. Each site keeps ONE TraceSpan per (query, site) — cumulative counters
+// Mechanism: every computation message (StartQuery / DerefRequest; the
+// simulator's BatchDerefRequest too) carries a hop number and the site path
+// that produced it. Each site keeps ONE TraceSpan per (query, site) — cumulative counters
 // on the site's own monotonic clock — and piggybacks it on the
 // ResultMessages it already sends to the originator. The originator merges
 // spans field-wise by max (the counters are cumulative and monotonic, so a

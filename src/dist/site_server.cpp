@@ -14,6 +14,18 @@
 namespace hyperfile {
 namespace {
 
+/// Extra attempts after a failed send of a protocol message (derefs,
+/// results, acks, replies). Retries target *detected* transient failures —
+/// a dead connection the transport can re-establish; silent loss is
+/// invisible to the sender and is covered by context_ttl instead. Receivers
+/// suppress duplicates by msg_seq, so a retry that raced a slow-but-
+/// successful delivery is harmless.
+constexpr int kSendRetries = 2;
+
+/// Per-WalSegment budget of framed WAL bytes (always at least one whole
+/// record, see read_wal_segment).
+constexpr std::uint64_t kReplicationSegmentBytes = 256 * 1024;
+
 /// Record (src, seq) in the per-context dedup map; true iff the message was
 /// already processed. seq 0 marks an unsequenced message and is never
 /// suppressed.
@@ -434,7 +446,7 @@ Duration SiteServer::recv_budget() const {
   };
   consider(last_sweep_, options_.context_ttl / 4);
   if (options_.suspect_after > Duration(0)) {
-    consider(last_liveness_check_, options_.suspect_after / 4);
+    consider(last_liveness_check_, liveness_pass());
   }
   consider(last_summary_advert_, options_.summary_interval);
   if (wal_ != nullptr && wal_->record_count() > 0) {
@@ -450,8 +462,7 @@ Result<void> SiteServer::send_with_retry(SiteId to, const wire::Message& m,
   static Counter& busy_backoffs = metrics().counter("dist.busy_backoffs");
   auto r = endpoint_->send(to, m);
   Duration backoff = options_.retry_backoff;
-  for (int attempt = 0; !r.ok() && attempt < options_.send_retries;
-       ++attempt) {
+  for (int attempt = 0; !r.ok() && attempt < kSendRetries; ++attempt) {
     const Errc c = r.error().code;
     if (c == Errc::kNotFound || c == Errc::kInvalidArgument) break;
     // kBusy is the epoll backend's backpressure signal: the peer's bounded
@@ -460,7 +471,7 @@ Result<void> SiteServer::send_with_retry(SiteId to, const wire::Message& m,
     // separately from transport failures so saturation is visible.
     if (c == Errc::kBusy) busy_backoffs.inc();
     // hfverify: allow-blocking(retry-backoff): bounded exponential backoff
-    // (send_retries * max backoff), accepted loop stall on a sick peer.
+    // (kSendRetries * max backoff), accepted loop stall on a sick peer.
     std::this_thread::sleep_for(backoff);
     backoff *= 2;
     retries.inc();
@@ -517,18 +528,6 @@ void SiteServer::note_engagement(Participation& p, std::uint32_t hop,
   p.out_path = std::move(with_self);
 }
 
-bool SiteServer::stale_own_query(const wire::QueryId& qid, SiteId src) {
-  if (qid.originator != store_.site()) return false;
-  if (find_origination(qid) != nullptr) return false;
-  // A retried or wire-duplicated message outlived the query it belongs to.
-  // Re-announce completion (the sender's QueryDone may have been the lost
-  // message) instead of recreating a context that nothing would ever close.
-  if (src != store_.site() && src != kNoSite) {
-    (void)endpoint_->send(src, wire::QueryDone{qid});
-  }
-  return true;
-}
-
 void SiteServer::sweep_contexts() {
   const auto now = now_tick();
   if (now - last_sweep_ < options_.context_ttl / 4) return;
@@ -538,42 +537,45 @@ void SiteServer::sweep_contexts() {
   // acks were lost in flight) — answer with everything that did arrive,
   // flagged partial. "Partial results are better than none at all."
   std::vector<wire::QueryId> expired;
-  for (auto& [qid, o] : originated_) {
-    if (!o.replied && now - o.last_activity >= options_.context_ttl) {
+  for (auto& [qid, p] : contexts_) {
+    if (p.origin != nullptr &&
+        now - p.origin->last_activity >= options_.context_ttl) {
       expired.push_back(qid);
     }
   }
   for (const auto& qid : expired) {
-    auto it = originated_.find(qid);
-    if (it == originated_.end()) continue;
+    auto it = contexts_.find(qid);
+    if (it == contexts_.end()) continue;
     HF_DEBUG << "site " << store_.site() << ": query " << qid.to_string()
              << " idle past TTL; forcing partial reply";
-    maybe_finish(qid, it->second, /*force=*/true);
+    maybe_finish(it->second, /*force=*/true);
   }
 
   // Participant contexts: re-flush stashed results while fresh; once idle
   // past the TTL (our QueryDone was lost, or the originator expired), one
-  // final flush attempt and then discard.
-  std::vector<wire::QueryId> flush;
-  std::vector<wire::QueryId> dead;
+  // final flush attempt and then discard. A participant's flush never
+  // discards a context, so the pointers stay valid across the loops.
+  std::vector<Participation*> flush;
+  std::vector<Participation*> dead;
   for (auto& [qid, p] : contexts_) {
-    if (find_origination(qid) != nullptr) continue;  // dies with origination
+    if (p.origin != nullptr) continue;  // expires with its origination
     const bool pending = !p.pending_ids.empty() || !p.pending_values.empty() ||
                          p.pending_count > 0 ||
                          (p.executions_idle() && p.weight.holding());
     const bool stale = now - p.last_activity >= options_.context_ttl;
     if (stale) {
-      dead.push_back(qid);
+      dead.push_back(&p);
     } else if (pending) {
-      flush.push_back(qid);
+      flush.push_back(&p);
     }
   }
-  for (const auto& qid : flush) drain_and_flush(qid);
+  for (Participation* p : flush) drain_and_flush(*p);
   if (!dead.empty()) {
     metrics().counter("dist.ttl_context_discards").inc(dead.size());
   }
-  for (const auto& qid : dead) {
-    drain_and_flush(qid);  // last chance for results + weight to get home
+  for (Participation* p : dead) {
+    const wire::QueryId qid = p->qid;
+    drain_and_flush(*p);  // last chance for results + weight to get home
     discard_context(qid);
   }
 }
@@ -581,7 +583,7 @@ void SiteServer::sweep_contexts() {
 void SiteServer::check_liveness() {
   if (options_.suspect_after <= Duration(0)) return;
   const auto now = now_tick();
-  if (now - last_liveness_check_ < options_.suspect_after / 4) return;
+  if (now - last_liveness_check_ < liveness_pass()) return;
   const auto previous_check = last_liveness_check_;
   last_liveness_check_ = now;
 
@@ -589,12 +591,12 @@ void SiteServer::check_liveness() {
   // origination that is every involved site; for a participation it is the
   // originator (whose QueryDone we are waiting for).
   std::unordered_set<SiteId> interest;
-  for (const auto& [qid, o] : originated_) {
-    if (o.replied) continue;
-    for (SiteId s : o.involved) interest.insert(s);
-  }
   for (const auto& [qid, p] : contexts_) {
-    if (qid.originator != store_.site()) interest.insert(qid.originator);
+    if (p.origin != nullptr) {
+      for (SiteId s : p.origin->involved) interest.insert(s);
+    } else {
+      interest.insert(qid.originator);
+    }
   }
   // A follower is permanently interested in the primaries it replicates:
   // failover (route_remote serving from the shadow store) triggers on *our
@@ -614,7 +616,9 @@ void SiteServer::check_liveness() {
   }
   interest.erase(store_.site());
 
-  const Duration probe_after = options_.suspect_after / 3;
+  // Exactly two passes (not suspect_after / 3, which rounding can leave a
+  // microsecond longer), so a ping falls due on a pass, not after it.
+  const Duration probe_after = 2 * liveness_pass();
   std::vector<SiteId> newly_suspect;
   for (SiteId peer : interest) {
     auto [it, fresh] = liveness_.try_emplace(peer);
@@ -688,22 +692,24 @@ void SiteServer::check_summaries() {
   };
   wire::SummaryMessage sm;
   sm.records.push_back(to_record(own_summary_));  // own record: age 0
-  if (options_.summary_gossip) {
-    for (const auto& [peer, cached] : peer_summaries_) {
-      // Relay with the age the record has accrued here (installed is
-      // origin-anchored, so inherited age compounds across hops). A record
-      // past the TTL has no authority left to spread — don't gossip it.
-      const Duration age = std::chrono::duration_cast<Duration>(
-          now - cached.installed);
-      if (options_.summary_ttl > Duration(0) && age >= options_.summary_ttl) {
-        continue;
-      }
-      wire::SummaryRecord rec = to_record(cached.summary);
-      rec.age_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
-          0, std::chrono::duration_cast<std::chrono::microseconds>(age)
-                 .count()));
-      sm.records.push_back(std::move(rec));
+  // Relay cached peer records alongside our own (epidemic spread on sparse
+  // topologies). Receivers order gossiped records by their embedded (epoch,
+  // version) and never treat them as liveness evidence for their origin —
+  // only the frame's direct sender proved itself alive.
+  for (const auto& [peer, cached] : peer_summaries_) {
+    // Relay with the age the record has accrued here (installed is
+    // origin-anchored, so inherited age compounds across hops). A record
+    // past the TTL has no authority left to spread — don't gossip it.
+    const Duration age = std::chrono::duration_cast<Duration>(
+        now - cached.installed);
+    if (options_.summary_ttl > Duration(0) && age >= options_.summary_ttl) {
+      continue;
     }
+    wire::SummaryRecord rec = to_record(cached.summary);
+    rec.age_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::microseconds>(age)
+               .count()));
+    sm.records.push_back(std::move(rec));
   }
   // Fire-and-forget, like pings: adverts are periodic and idempotent, so a
   // lost one is simply superseded by the next; retrying would stall the
@@ -827,30 +833,31 @@ void SiteServer::suspect_peer(SiteId peer) {
   // the much larger context_ttl. The suspicion is annotated on the
   // originator's own span before the reply assembles the trace.
   std::vector<wire::QueryId> to_finish;
-  for (auto& [qid, o] : originated_) {
-    if (!o.replied && o.involved.count(peer) != 0) to_finish.push_back(qid);
+  for (const auto& [qid, p] : contexts_) {
+    if (p.origin != nullptr && p.origin->involved.count(peer) != 0) {
+      to_finish.push_back(qid);
+    }
   }
   for (const auto& qid : to_finish) {
-    auto oit = originated_.find(qid);
-    if (oit == originated_.end()) continue;
-    if (auto cit = contexts_.find(qid); cit != contexts_.end()) {
-      ++cit->second.span.suspicions;
-    }
+    auto it = contexts_.find(qid);
+    if (it == contexts_.end()) continue;
+    ++it->second.span.suspicions;
     HF_INFO << "site " << store_.site() << ": query " << qid.to_string()
             << " involves suspected site " << peer
             << "; forcing partial reply";
-    maybe_finish(qid, oit->second, /*force=*/true);
+    maybe_finish(it->second, /*force=*/true);
   }
 
   // Participations whose originator is the suspect: nobody is left to send
   // QueryDone. One final flush (results + weight head home the moment the
   // originator revives and its mailbox drains) and discard.
-  std::vector<wire::QueryId> orphaned;
-  for (const auto& [qid, p] : contexts_) {
-    if (qid.originator == peer) orphaned.push_back(qid);
+  std::vector<Participation*> orphaned;
+  for (auto& [qid, p] : contexts_) {
+    if (qid.originator == peer) orphaned.push_back(&p);
   }
-  for (const auto& qid : orphaned) {
-    drain_and_flush(qid);
+  for (Participation* p : orphaned) {
+    const wire::QueryId qid = p->qid;
+    drain_and_flush(*p);
     discard_context(qid);
   }
 }
@@ -969,10 +976,10 @@ void SiteServer::ship_to(SiteId follower, FollowerShip& ship) {
   }
   if (ship.shipped >= wal_->byte_size()) return;  // follower is current
   // hfverify: allow-blocking(wal-ship): bounded file read (one
-  // replication_segment_bytes batch) in the same loop pause that already
+  // kReplicationSegmentBytes batch) in the same loop pause that already
   // absorbs WAL appends; shipping from the file keeps no second copy.
   auto seg = read_wal_segment(wal_->path(), ship.shipped,
-                              options_.replication_segment_bytes);
+                              kReplicationSegmentBytes);
   if (!seg.ok()) {
     HF_WARN << "site " << store_.site() << ": cannot read WAL segment at "
             << ship.shipped << ": " << seg.error().message;
@@ -1101,27 +1108,16 @@ void SiteServer::apply_catchup(SiteId primary, std::uint64_t ship_epoch,
   metrics().counter("dist.replica_catchups").inc();
 }
 
-SiteExecution& SiteServer::shadow_execution(const wire::QueryId& qid,
-                                            Participation& p, SiteId primary) {
+SiteExecution& SiteServer::shadow_execution(Participation& p, SiteId primary) {
   auto it = p.shadow_execs.find(primary);
   if (it != p.shadow_execs.end()) return *it->second;
   SiteStore& shadow = replica_slot(primary)->shadow;
   ExecutionOptions opts;
   opts.discipline = options_.discipline;
   opts.is_local = [&shadow](const ObjectId& id) { return shadow.contains(id); };
-  opts.remote_sink = [this, qid](WorkItem&& item) {
-    auto cit = contexts_.find(qid);
-    if (cit == contexts_.end()) return;
-    Participation& ctx = cit->second;
-    if (store_.contains(item.id)) {
-      // A pointer out of the shadow landing on our *own* store: feed the
-      // main execution directly instead of bouncing through the wire.
-      ++ctx.span.items;
-      ctx.exec->add_item(std::move(item));
-      return;
-    }
-    route_remote(qid, ctx, std::move(item));
-  };
+  // A pointer out of the shadow landing on our *own* store feeds the main
+  // execution directly instead of bouncing through the wire.
+  opts.remote_sink = [this, &p](WorkItem&& item) { admit(p, std::move(item)); };
   // Always the serial engine, even when a drain pool exists: failover work
   // is the degraded path, and one engine shape keeps the shadow store's
   // event-loop confinement trivially true.
@@ -1160,8 +1156,6 @@ void SiteServer::handle(wire::Envelope env) {
   }
   if (auto* dr = std::get_if<wire::DerefRequest>(&env.message)) {
     handle_deref(src, std::move(*dr));
-  } else if (auto* bd = std::get_if<wire::BatchDerefRequest>(&env.message)) {
-    handle_batch_deref(src, std::move(*bd));
   } else if (auto* sq = std::get_if<wire::StartQuery>(&env.message)) {
     handle_start(src, std::move(*sq));
   } else if (auto* rm = std::get_if<wire::ResultMessage>(&env.message)) {
@@ -1187,73 +1181,111 @@ void SiteServer::handle(wire::Envelope env) {
   } else if (auto* qd = std::get_if<wire::QueryDone>(&env.message)) {
     handle_done(*qd);
   }
-  // ClientReply at a server: stray, ignore.
+  // ClientReply at a server: stray, ignore. So is a BatchDerefRequest:
+  // batched dereferences exist only in the simulator (ablation A5).
 }
 
-SiteServer::Origination* SiteServer::find_origination(const wire::QueryId& qid) {
-  auto it = originated_.find(qid);
-  return it == originated_.end() ? nullptr : &it->second;
+void SiteServer::Origination::merge(SiteId from, bool count_only,
+                                    std::uint64_t count,
+                                    std::vector<ObjectId>& new_ids,
+                                    std::vector<wire::RetrievedValue>& new_values) {
+  if (count_only) {
+    total_count += count;
+    site_counts[from] += count;
+    return;
+  }
+  for (const ObjectId& id : new_ids) {
+    if (ids_seen.insert(id).second) ids.push_back(id);
+  }
+  for (auto& v : new_values) values.push_back(std::move(v));
 }
 
-SiteServer::Participation& SiteServer::participation(const wire::QueryId& qid,
-                                                     const Query& query) {
+SiteServer::Participation& SiteServer::participation(
+    const wire::QueryId& qid, const Query& query,
+    std::unique_ptr<Origination> origin) {
   auto it = contexts_.find(qid);
   if (it != contexts_.end()) return it->second;
+
+  Participation& p = contexts_.emplace(qid, Participation{}).first->second;
+  p.qid = qid;
+  p.origin = std::move(origin);
+  p.ds = DijkstraScholtenNode(store_.site(), /*is_root=*/p.origin != nullptr);
+  p.last_activity = now_tick();
+  p.span.site = store_.site();
 
   ExecutionOptions opts;
   opts.discipline = options_.discipline;
   opts.is_local = [this](const ObjectId& id) { return store_.contains(id); };
-  opts.remote_sink = [this, qid](WorkItem&& item) {
-    auto cit = contexts_.find(qid);
-    if (cit == contexts_.end()) return;
-    route_remote(qid, cit->second, std::move(item));
+  // The context owns the execution, so the sink never outlives `p`.
+  opts.remote_sink = [this, &p](WorkItem&& item) {
+    route_remote(p, std::move(item));
   };
-
-  auto [nit, inserted] = contexts_.emplace(qid, Participation{});
-  (void)inserted;
-  nit->second.last_activity = now_tick();
-  nit->second.span.site = store_.site();
   if (drain_pool_ != nullptr) {
-    nit->second.exec = std::make_unique<ParallelExecution>(
-        query, store_, *drain_pool_, std::move(opts));
+    p.exec = std::make_unique<ParallelExecution>(query, store_, *drain_pool_,
+                                                 std::move(opts));
   } else {
-    nit->second.exec =
-        std::make_unique<QueryExecution>(query, store_, std::move(opts));
+    p.exec = std::make_unique<QueryExecution>(query, store_, std::move(opts));
   }
-  return nit->second;
+  return p;
 }
 
-Weight SiteServer::borrow_weight(const wire::QueryId& qid, Participation& p) {
+SiteServer::Participation* SiteServer::open_context(SiteId src,
+                                                    const wire::QueryId& qid,
+                                                    const Query& query) {
+  // Our own live queries always have a context (it holds the origination).
+  if (qid.originator == store_.site() && contexts_.count(qid) == 0) {
+    // A retried or wire-duplicated message outlived the query it belongs
+    // to. Re-announce completion (the sender's QueryDone may have been the
+    // lost message) instead of recreating a context that nothing would
+    // ever close.
+    if (src != store_.site() && src != kNoSite) {
+      (void)endpoint_->send(src, wire::QueryDone{qid});
+    }
+    return nullptr;
+  }
+  return &participation(qid, query);
+}
+
+void SiteServer::accept(Participation& p, SiteId src, std::uint32_t hop,
+                        const std::vector<SiteId>& path,
+                        const wire::WeightBits& weight) {
+  p.last_activity = now_tick();
+  note_engagement(p, hop, path);
+  receive_computation(p, src, weight);
+}
+
+void SiteServer::receive_computation(Participation& p, SiteId src,
+                                     const wire::WeightBits& weight) {
+  // D-S: a message that does not engage us (we are the root, or already
+  // engaged) is acknowledged at once.
+  if (using_ds() && !p.ds.on_message(src)) {
+    (void)send_with_retry(src, wire::TermAck{p.qid, next_msg_seq_++});
+  }
+  repay_weight(p, Weight::from_exponents(weight));
+}
+
+void SiteServer::admit(Participation& p, WorkItem item) {
+  if (store_.contains(item.id)) {
+    ++p.span.items;
+    p.exec->add_item(std::move(item));
+  } else {
+    route_remote(p, std::move(item));
+  }
+}
+
+Weight SiteServer::borrow_weight(Participation& p) {
   if (using_ds()) return Weight::zero();  // D-S messages carry no weight
-  if (Origination* o = find_origination(qid)) return o->term.borrow();
+  if (p.origin != nullptr) return p.origin->term.borrow();
   return p.weight.borrow();
 }
 
-void SiteServer::repay_weight(const wire::QueryId& qid, Participation& p,
-                              Weight w) {
+void SiteServer::repay_weight(Participation& p, Weight w) {
   if (w.is_zero()) return;
-  if (Origination* o = find_origination(qid)) {
-    o->term.repay(std::move(w));
+  if (p.origin != nullptr) {
+    p.origin->term.repay(std::move(w));
   } else {
     p.weight.receive(std::move(w));
   }
-}
-
-void SiteServer::ds_on_computation_message(const wire::QueryId& qid,
-                                           Participation& p, SiteId src) {
-  if (!using_ds()) return;
-  if (find_origination(qid) != nullptr) {
-    // The root is permanently engaged: every incoming message is acked at
-    // once (its completion is subsumed by the root's own idle/deficit test).
-    (void)send_with_retry(src, wire::TermAck{qid, next_msg_seq_++});
-    return;
-  }
-  if (!p.ds_engaged) {
-    p.ds_engaged = true;  // this message becomes our tree edge
-    p.ds_parent = src;
-    return;
-  }
-  (void)send_with_retry(src, wire::TermAck{qid, next_msg_seq_++});
 }
 
 void SiteServer::handle_term_ack(SiteId src, const wire::TermAck& ta) {
@@ -1265,26 +1297,23 @@ void SiteServer::handle_term_ack(SiteId src, const wire::TermAck& ta) {
   // declare termination early.
   if (already_seen(p.seen, src, ta.msg_seq)) return;
   p.last_activity = now_tick();
-  if (p.ds_deficit > 0) --p.ds_deficit;
-  ds_try_settle(ta.qid, p);
-}
-
-void SiteServer::ds_try_settle(const wire::QueryId& qid, Participation& p) {
-  if (!using_ds()) return;
-  if (Origination* o = find_origination(qid)) {
-    maybe_finish(qid, *o);
-    return;
-  }
-  if (p.ds_engaged && p.ds_deficit == 0 && p.executions_idle()) {
-    const SiteId parent = p.ds_parent;
-    p.ds_engaged = false;
-    p.ds_parent = kNoSite;
-    (void)send_with_retry(parent, wire::TermAck{qid, next_msg_seq_++});
+  p.ds.on_ack();
+  if (p.origin != nullptr) {
+    maybe_finish(p);
+  } else {
+    detach_if_settled(p);
   }
 }
 
-void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
-                              WorkItem item) {
+void SiteServer::detach_if_settled(Participation& p) {
+  p.ds.set_idle(p.executions_idle());
+  if (!p.ds.ready_to_detach()) return;
+  const SiteId parent = *p.ds.parent();
+  p.ds.detach();
+  (void)send_with_retry(parent, wire::TermAck{p.qid, next_msg_seq_++});
+}
+
+void SiteServer::route_remote(Participation& p, WorkItem item) {
   const SiteId self = store_.site();
   SiteId dest;
   if (item.id.presumed_site != self && item.id.presumed_site != kNoSite) {
@@ -1320,7 +1349,7 @@ void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
           metrics().histogram("dist.replica_lag_us")
               .observe(us_since(rt->last_advance));
         }
-        shadow_execution(qid, p, dest).add_item(std::move(item));
+        shadow_execution(p, dest).add_item(std::move(item));
         return;
       }
       // Not in the shadow (never shipped, or lost to lag): a known loss —
@@ -1336,11 +1365,7 @@ void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
       send_to = standby;
     }
     if (send_to == dest) {
-      if (Origination* o = find_origination(qid)) {
-        ++o->dropped_items;
-      } else {
-        ++p.dropped;
-      }
+      ++p.dropped;
       return;
     }
   }
@@ -1356,96 +1381,52 @@ void SiteServer::route_remote(const wire::QueryId& qid, Participation& p,
     return;
   }
 
-  if (options_.batch_remote_derefs) {
-    wire::DerefEntry entry;
-    entry.oid = item.id;
-    entry.oid.presumed_site = dest;
-    entry.start = item.start;
-    entry.iter_stack = std::move(item.iter_stack);
-    p.pending_batches[send_to].push_back(std::move(entry));
-    return;
-  }
-
-  Weight w = borrow_weight(qid, p);
   wire::DerefRequest dr;
-  dr.qid = qid;
+  dr.qid = p.qid;
   dr.query = p.exec->query();
   dr.oid = item.id;
   dr.oid.presumed_site = dest;
   dr.start = item.start;
-  dr.iter_stack = item.iter_stack;
-  dr.weight = w.exponents();
-  dr.msg_seq = next_msg_seq_++;
-  dr.hop = p.current_hop + 1;
-  dr.path = p.out_path;
-  if (auto r = send_with_retry(send_to, wire::Message(std::move(dr)), &p.span);
+  dr.iter_stack = std::move(item.iter_stack);
+  send_computation(p, send_to, std::move(dr));
+}
+
+template <typename Msg>
+void SiteServer::send_computation(Participation& p, SiteId to, Msg msg) {
+  Weight w = borrow_weight(p);
+  msg.weight = w.exponents();
+  msg.msg_seq = next_msg_seq_++;
+  msg.hop = p.current_hop + 1;
+  msg.path = p.out_path;
+  if (auto r = send_with_retry(to, wire::Message(std::move(msg)), &p.span);
       !r.ok()) {
-    // Site unreachable even after retries: drop the item but keep its
+    // Site unreachable even after retries: drop the work but keep its
     // weight, so the query terminates with partial results instead of
     // hanging (paper Section 1: "Partial results are better than none at
     // all") — and record the loss so the reply is flagged partial.
-    HF_DEBUG << "site " << self << ": deref to site " << send_to
-             << " failed (" << r.error().to_string() << "); dropping item";
-    repay_weight(qid, p, std::move(w));
-    if (Origination* o = find_origination(qid)) {
-      ++o->dropped_items;
-    } else {
-      ++p.dropped;
-    }
+    HF_DEBUG << "site " << store_.site() << ": computation message to site "
+             << to << " failed (" << r.error().to_string() << "); dropping";
+    repay_weight(p, std::move(w));
+    ++p.dropped;
     return;
   }
-  ds_on_send(p);
+  if (using_ds()) p.ds.on_send();
   ++p.span.forwarded;
-  if (Origination* o = find_origination(qid)) o->involved.insert(send_to);
-}
-
-void SiteServer::flush_batches(const wire::QueryId& qid, Participation& p) {
-  for (auto& [dest, items] : p.pending_batches) {
-    if (items.empty()) continue;
-    const std::uint64_t batch_size = items.size();
-    Weight w = borrow_weight(qid, p);
-    wire::BatchDerefRequest bd;
-    bd.qid = qid;
-    bd.query = p.exec->query();
-    bd.items = std::move(items);
-    bd.weight = w.exponents();
-    bd.msg_seq = next_msg_seq_++;
-    bd.hop = p.current_hop + 1;
-    bd.path = p.out_path;
-    if (auto r = send_with_retry(dest, wire::Message(std::move(bd)), &p.span);
-        !r.ok()) {
-      HF_DEBUG << "site " << store_.site() << ": batch deref to site " << dest
-               << " failed (" << r.error().to_string() << "); dropping batch";
-      repay_weight(qid, p, std::move(w));
-      if (Origination* o = find_origination(qid)) {
-        o->dropped_items += batch_size;
-      } else {
-        p.dropped += batch_size;
-      }
-      continue;
-    }
-    ds_on_send(p);
-    p.span.forwarded += batch_size;
-    if (Origination* o = find_origination(qid)) o->involved.insert(dest);
-  }
-  p.pending_batches.clear();
+  if (p.origin != nullptr) p.origin->involved.insert(to);
 }
 
 void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
-  if (stale_own_query(dr.qid, src)) return;
-  Participation& p = participation(dr.qid, dr.query);
+  Participation* p = open_context(src, dr.qid, dr.query);
+  if (p == nullptr) return;
   // Dedup before any bookkeeping: repaying a replayed message's weight a
   // second time would push held weight past one, and acking it under D-S
   // would cancel an ack the sender is still owed.
-  if (already_seen(p.seen, src, dr.msg_seq)) {
-    ++p.span.duplicates;
+  if (already_seen(p->seen, src, dr.msg_seq)) {
+    ++p->span.duplicates;
     metrics().counter("dist.dedup_hits").inc();
     return;
   }
-  p.last_activity = now_tick();
-  note_engagement(p, dr.hop, dr.path);
-  ds_on_computation_message(dr.qid, p, src);
-  repay_weight(dr.qid, p, Weight::from_exponents(dr.weight));
+  accept(*p, src, dr.hop, dr.path, dr.weight);
 
   // Prune effectiveness accounting: if our own current summary would have
   // pruned this message, the sender paid for it anyway — its cache of us
@@ -1460,75 +1441,26 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
   item.start = dr.start;
   item.next = dr.start;
   item.iter_stack = dr.iter_stack.empty() ? std::vector<std::uint32_t>{1}
-                                          : dr.iter_stack;
-  if (store_.contains(item.id)) {
-    ++p.span.items;
-    p.exec->add_item(std::move(item));
-  } else {
-    route_remote(dr.qid, p, std::move(item));
-  }
-  drain_and_flush(dr.qid);
-}
-
-void SiteServer::handle_batch_deref(SiteId src, wire::BatchDerefRequest bd) {
-  if (stale_own_query(bd.qid, src)) return;
-  Participation& p = participation(bd.qid, bd.query);
-  if (already_seen(p.seen, src, bd.msg_seq)) {  // see handle_deref
-    ++p.span.duplicates;
-    metrics().counter("dist.dedup_hits").inc();
-    return;
-  }
-  p.last_activity = now_tick();
-  note_engagement(p, bd.hop, bd.path);
-  ds_on_computation_message(bd.qid, p, src);
-  repay_weight(bd.qid, p, Weight::from_exponents(bd.weight));
-  for (wire::DerefEntry& entry : bd.items) {
-    WorkItem item;
-    item.id = entry.oid;
-    item.start = entry.start;
-    item.next = entry.start;
-    item.iter_stack = entry.iter_stack.empty() ? std::vector<std::uint32_t>{1}
-                                               : std::move(entry.iter_stack);
-    if (store_.contains(item.id)) {
-      ++p.span.items;
-      p.exec->add_item(std::move(item));
-    } else {
-      route_remote(bd.qid, p, std::move(item));
-    }
-  }
-  drain_and_flush(bd.qid);
+                                          : std::move(dr.iter_stack);
+  admit(*p, std::move(item));
+  drain_and_flush(*p);
 }
 
 void SiteServer::handle_start(SiteId src, wire::StartQuery sq) {
-  if (stale_own_query(sq.qid, src)) return;
-  Participation& p = participation(sq.qid, sq.query);
-  if (already_seen(p.seen, src, sq.msg_seq)) {  // see handle_deref
-    ++p.span.duplicates;
+  Participation* p = open_context(src, sq.qid, sq.query);
+  if (p == nullptr) return;
+  if (already_seen(p->seen, src, sq.msg_seq)) {  // see handle_deref
+    ++p->span.duplicates;
     metrics().counter("dist.dedup_hits").inc();
     return;
   }
-  p.last_activity = now_tick();
-  note_engagement(p, sq.hop, sq.path);
-  ds_on_computation_message(sq.qid, p, src);
-  repay_weight(sq.qid, p, Weight::from_exponents(sq.weight));
-
-  for (const ObjectId& id : sq.ids) {
-    WorkItem item = WorkItem::initial(id);
-    if (store_.contains(id)) {
-      ++p.span.items;
-      p.exec->add_item(std::move(item));
-    } else {
-      route_remote(sq.qid, p, std::move(item));
-    }
-  }
-  if (!sq.local_set_name.empty()) p.exec->seed_local_set(sq.local_set_name);
-  drain_and_flush(sq.qid);
+  accept(*p, src, sq.hop, sq.path, sq.weight);
+  for (const ObjectId& id : sq.ids) admit(*p, WorkItem::initial(id));
+  if (!sq.local_set_name.empty()) p->exec->seed_local_set(sq.local_set_name);
+  drain_and_flush(*p);
 }
 
-void SiteServer::drain_and_flush(const wire::QueryId& qid) {
-  auto it = contexts_.find(qid);
-  if (it == contexts_.end()) return;
-  Participation& p = it->second;
+void SiteServer::drain_and_flush(Participation& p) {
   const auto drain_t0 = now_tick();
   p.exec->drain();
   if (!p.shadow_execs.empty()) {
@@ -1562,7 +1494,6 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
   ++p.span.drains;
   p.span.drain_us += drain_us;
   metrics().histogram("dist.drain_us").observe(drain_us);
-  flush_batches(qid, p);
 
   const Query& query = p.exec->query();
   std::vector<ObjectId> ids = p.exec->take_result_ids();
@@ -1589,21 +1520,17 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
     ids.clear();
     vals.clear();
   }
+  std::vector<wire::RetrievedValue> values;
+  values.reserve(vals.size());
+  for (Retrieved& r : vals) {
+    values.push_back({r.slot, r.source, std::move(r.value)});
+  }
 
-  if (Origination* o = find_origination(qid)) {
-    if (query.count_only()) {
-      o->total_count += local_count;
-      o->site_counts[store_.site()] += local_count;
-    } else {
-      for (const ObjectId& id : ids) {
-        if (o->ids_seen.insert(id).second) o->ids.push_back(id);
-      }
-      for (Retrieved& r : vals) {
-        o->values.push_back({r.slot, r.source, std::move(r.value)});
-      }
-    }
-    o->last_activity = now_tick();
-    maybe_finish(qid, *o);
+  if (p.origin != nullptr) {
+    p.origin->merge(store_.site(), query.count_only(), local_count, ids,
+                    values);
+    p.origin->last_activity = now_tick();
+    maybe_finish(p);
     return;
   }
 
@@ -1611,15 +1538,13 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
   // originating site ("no intermediate site need be involved"). Results
   // stashed by an earlier failed send ride along.
   wire::ResultMessage rm;
-  rm.qid = qid;
+  rm.qid = p.qid;
   rm.count_only = query.count_only();
   rm.local_count = local_count + p.pending_count;
   rm.ids = std::move(p.pending_ids);
-  for (const ObjectId& id : ids) rm.ids.push_back(id);
+  rm.ids.insert(rm.ids.end(), ids.begin(), ids.end());
   rm.values = std::move(p.pending_values);
-  for (Retrieved& r : vals) {
-    rm.values.push_back({r.slot, r.source, std::move(r.value)});
-  }
+  for (auto& v : values) rm.values.push_back(std::move(v));
   rm.dropped_items = p.dropped;
   rm.msg_seq = next_msg_seq_++;
   rm.spans = {p.span};
@@ -1629,13 +1554,13 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
   p.pending_values.clear();
   p.pending_count = 0;
   const wire::Message msg(std::move(rm));
-  if (auto r = send_with_retry(qid.originator, msg, &p.span); !r.ok()) {
+  if (auto r = send_with_retry(p.qid.originator, msg, &p.span); !r.ok()) {
     // Keep everything: weight back in the participant's purse, results in
     // the pending stash. The TTL sweep re-attempts delivery, so a transient
     // outage loses nothing and a permanent one still terminates (the
     // originator's own TTL answers partial).
     HF_DEBUG << "site " << store_.site() << ": result to originator "
-             << qid.originator << " failed: " << r.error().to_string();
+             << p.qid.originator << " failed: " << r.error().to_string();
     const auto& failed = std::get<wire::ResultMessage>(msg);
     p.weight.receive(std::move(held));
     p.pending_ids = failed.ids;
@@ -1644,15 +1569,15 @@ void SiteServer::drain_and_flush(const wire::QueryId& qid) {
   } else {
     // D-S: result messages are tree messages too — the originator acks
     // them, which is what keeps termination from racing ahead of results.
-    ds_on_send(p);
+    if (using_ds()) p.ds.on_send();
     p.dropped = 0;  // reported
   }
-  ds_try_settle(qid, p);
+  detach_if_settled(p);
 }
 
 void SiteServer::handle_result(SiteId src, wire::ResultMessage rm) {
-  Origination* o = find_origination(rm.qid);
-  if (o == nullptr) {
+  auto it = contexts_.find(rm.qid);
+  if (it == contexts_.end() || it->second.origin == nullptr) {
     // Stale result for a finished (or expired) query: the sender evidently
     // missed QueryDone — re-announce it so the participant context closes,
     // but merge nothing.
@@ -1661,35 +1586,26 @@ void SiteServer::handle_result(SiteId src, wire::ResultMessage rm) {
     }
     return;
   }
+  Participation& p = it->second;
   // Dedup BEFORE weight/count/ack bookkeeping: a replayed ResultMessage
   // would double-count local_count, re-insert values, over-repay weight
   // (Weight::add past one throws), and under D-S cancel an ack the sender
   // is still owed.
-  if (already_seen(o->seen, src, rm.msg_seq)) {
+  if (already_seen(p.seen, src, rm.msg_seq)) {
     metrics().counter("dist.dedup_hits").inc();
     return;
   }
-  o->last_activity = now_tick();
+  Origination& o = *p.origin;
+  o.last_activity = now_tick();
   // Merge piggybacked span snapshots. Field-wise max keeps this idempotent,
   // so even a duplicate that slipped past msg_seq dedup (e.g. a retry with
   // a fresh seq) cannot inflate the trace.
-  for (const TraceSpan& s : rm.spans) merge_into(o->spans[s.site], s);
-  if (using_ds()) {
-    (void)send_with_retry(src, wire::TermAck{rm.qid, next_msg_seq_++});
-  }
-  o->involved.insert(src);
-  o->term.repay(Weight::from_exponents(rm.weight));
-  o->dropped_items += rm.dropped_items;
-  if (rm.count_only) {
-    o->total_count += rm.local_count;
-    o->site_counts[src] += rm.local_count;
-  } else {
-    for (const ObjectId& id : rm.ids) {
-      if (o->ids_seen.insert(id).second) o->ids.push_back(id);
-    }
-    for (auto& v : rm.values) o->values.push_back(std::move(v));
-  }
-  maybe_finish(rm.qid, *o);
+  for (const TraceSpan& s : rm.spans) merge_into(o.spans[s.site], s);
+  receive_computation(p, src, rm.weight);
+  o.involved.insert(src);
+  o.dropped_items += rm.dropped_items;
+  o.merge(src, rm.count_only, rm.local_count, rm.ids, rm.values);
+  maybe_finish(p);
 }
 
 void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
@@ -1707,27 +1623,25 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
   }
   // Simplify once at origination: every subsequent message (one per remote
   // pointer!) carries the rewritten, smaller body.
-  if (options_.rewrite_queries) cr.query = rewrite_query(cr.query);
+  cr.query = rewrite_query(cr.query);
 
   metrics().counter("dist.queries_originated").inc();
   const wire::QueryId qid{store_.site(), next_query_seq_++};
-  Origination o;
-  o.query = cr.query;
-  o.client = src;
-  o.client_seq = cr.client_seq;
-  o.last_activity = now_tick();
-  o.started = o.last_activity;
-  originated_.emplace(qid, std::move(o));
-  Origination& origin = originated_.at(qid);
-  Participation& p = participation(qid, cr.query);
+  auto origin = std::make_unique<Origination>();
+  origin->client = src;
+  origin->client_seq = cr.client_seq;
+  origin->last_activity = now_tick();
+  origin->started = origin->last_activity;
+  Participation& p = participation(qid, cr.query, std::move(origin));
   // The client request engages the originator at hop 0; every computation
   // message fanned out from here starts the path at this site.
   note_engagement(p, 0, {});
 
   // Seed the initial set. A named set that a previous count_only query left
   // *distributed* is seeded by fanning StartQuery to the sites holding
-  // portions; anything else resolves locally (remote members of a local set
-  // travel as ordinary dereferences).
+  // portions (an unreachable site's whole portion is lost); anything else
+  // resolves locally (remote members of a local set travel as ordinary
+  // dereferences).
   bool seeded = false;
   const std::string& set_name = cr.query.initial_set_name();
   if (!set_name.empty()) {
@@ -1738,24 +1652,11 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
           p.exec->seed_local_set(set_name);
           continue;
         }
-        Weight w = borrow_weight(qid, p);
         wire::StartQuery sq;
         sq.qid = qid;
         sq.query = cr.query;
         sq.local_set_name = set_name;
-        sq.weight = w.exponents();
-        sq.msg_seq = next_msg_seq_++;
-        sq.hop = 1;
-        sq.path = p.out_path;
-        if (auto r = send_with_retry(s, wire::Message(std::move(sq)), &p.span);
-            !r.ok()) {
-          repay_weight(qid, p, std::move(w));
-          ++origin.dropped_items;  // that site's whole portion is lost
-          continue;
-        }
-        ds_on_send(p);
-        ++p.span.forwarded;
-        origin.involved.insert(s);
+        send_computation(p, s, std::move(sq));
       }
       seeded = true;
     }
@@ -1764,27 +1665,23 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
     if (auto r = p.exec->seed_initial(); !r.ok()) {
       reply_error(r.error());
       discard_context(qid);
-      originated_.erase(qid);
       return;
     }
   }
-  drain_and_flush(qid);
+  drain_and_flush(p);
 }
 
-void SiteServer::maybe_finish(const wire::QueryId& qid, Origination& o,
-                              bool force) {
-  if (o.replied) return;
+void SiteServer::maybe_finish(Participation& p, bool force) {
+  Origination& o = *p.origin;
   if (!force) {
-    auto cit = contexts_.find(qid);
-    if (cit == contexts_.end()) return;
-    if (!cit->second.executions_idle()) return;
-    const bool quiescent = using_ds() ? cit->second.ds_deficit == 0
-                                      : o.term.all_weight_home();
+    if (!p.executions_idle()) return;
+    const bool quiescent =
+        using_ds() ? p.ds.deficit() == 0 : o.term.all_weight_home();
     if (!quiescent) return;
   }
-  o.replied = true;
+  const wire::QueryId qid = p.qid;
 
-  const Query& query = o.query;
+  const Query& query = p.exec->query();
   if (!query.result_set_name().empty()) {
     if (query.count_only()) {
       std::vector<SiteId> sites;
@@ -1797,12 +1694,10 @@ void SiteServer::maybe_finish(const wire::QueryId& qid, Origination& o,
     }
   }
 
-  // Merge the originator's own (still-live) span into the trace before the
-  // partial verdict: its replica_lag flag feeds that verdict like every
+  // Merge the originator's own span into the trace before the partial
+  // verdict: its replica_lag flag feeds that verdict like every
   // participant's does.
-  if (auto cit = contexts_.find(qid); cit != contexts_.end()) {
-    merge_into(o.spans[store_.site()], cit->second.span);
-  }
+  merge_into(o.spans[store_.site()], p.span);
   bool replica_lagged = false;
   for (const auto& [site, span] : o.spans) {
     if (span.replica_lag > 0) replica_lagged = true;
@@ -1820,8 +1715,9 @@ void SiteServer::maybe_finish(const wire::QueryId& qid, Origination& o,
   // was positively observed. A lagging replica answer (DESIGN.md §18) is
   // the same epistemic state: nothing provably wrong arrived, but
   // acknowledged mutations may be missing.
-  reply.partial = force || o.dropped_items > 0 || replica_lagged;
-  reply.dropped_items = o.dropped_items;
+  const std::uint64_t dropped = o.dropped_items + p.dropped;
+  reply.partial = force || dropped > 0 || replica_lagged;
+  reply.dropped_items = dropped;
   if (force) metrics().counter("dist.ttl_force_finish").inc();
   if (reply.partial) metrics().counter("dist.queries_partial").inc();
 
@@ -1845,10 +1741,15 @@ void SiteServer::maybe_finish(const wire::QueryId& qid, Origination& o,
     (void)send_with_retry(s, wire::QueryDone{qid});
   }
   discard_context(qid);
-  originated_.erase(qid);
 }
 
-void SiteServer::handle_done(const wire::QueryDone& qd) { discard_context(qd.qid); }
+void SiteServer::handle_done(const wire::QueryDone& qd) {
+  // Only a query's originator announces its end, and never to itself: a
+  // QueryDone naming one of our own queries is stray and must not orphan
+  // the live origination.
+  if (qd.qid.originator == store_.site()) return;
+  discard_context(qd.qid);
+}
 
 void SiteServer::handle_move_command(SiteId src, const wire::MoveCommand& mc) {
   // Forwarded commands carry the client's address explicitly; a command

@@ -53,6 +53,7 @@
 #include "store/site_store.hpp"
 #include "store/versioning.hpp"
 #include "store/wal.hpp"
+#include "term/dijkstra_scholten.hpp"
 #include "term/weighted.hpp"
 
 namespace hyperfile {
@@ -70,13 +71,6 @@ enum class TerminationAlgorithm {
 struct SiteServerOptions {
   WorkSetDiscipline discipline = WorkSetDiscipline::kFifo;
   TerminationAlgorithm termination = TerminationAlgorithm::kWeightedMessages;
-  /// Buffer a drain's remote dereferences per destination and ship them as
-  /// one BatchDerefRequest each (ablation A5). Off by default: the paper's
-  /// one-message-per-pointer protocol starts remote work earlier.
-  bool batch_remote_derefs = false;
-  /// Run rewrite_query() on client queries before originating them — the
-  /// simplified body is what every subsequent message carries.
-  bool rewrite_queries = true;
   /// Shared-memory parallelism inside the site (paper Section 6 applied to
   /// the distributed runtime). 0 = serial: every drain runs on the event-
   /// loop thread. N > 0: a pool of N long-lived workers per site, created
@@ -85,14 +79,8 @@ struct SiteServerOptions {
   /// event loop keeps exclusive ownership of message handling, store
   /// writes, and termination accounting either way.
   std::size_t drain_workers = 0;
-  /// Extra attempts after a failed send of a protocol message (derefs,
-  /// results, acks, replies). Retries target *detected* transient failures
-  /// — a dead connection the transport can re-establish; silent loss is
-  /// invisible to the sender and is covered by context_ttl instead.
-  /// Receivers suppress duplicates by msg_seq, so a retry that raced a
-  /// slow-but-successful delivery is harmless.
-  int send_retries = 2;
-  /// Sleep before the first retry; doubles per attempt.
+  /// Sleep before the first retry of a failed protocol send (see
+  /// send_with_retry); doubles per attempt.
   Duration retry_backoff = Duration(200);
   /// Self-healing: a query context (participant or origination) idle longer
   /// than this is presumed orphaned — its QueryDone was lost, its weight
@@ -140,11 +128,6 @@ struct SiteServerOptions {
   /// Sites this server advertises its summary to. Cluster fills this with
   /// the whole deployment when summaries are enabled and the list is empty.
   std::vector<SiteId> summary_peers;
-  /// Relay cached peer records alongside our own record (epidemic spread on
-  /// sparse topologies). Receivers order gossiped records by their embedded
-  /// (epoch, version) and never treat them as liveness evidence for their
-  /// origin — only the frame's direct sender proved itself alive.
-  bool summary_gossip = true;
   /// WAL-shipped hot-standby replication (DESIGN.md §18, dist/replication.hpp).
   /// 0 = disabled. When set, this site ships its WAL tail to its assigned
   /// follower on this cadence, (re)subscribes to the primaries it follows,
@@ -153,9 +136,6 @@ struct SiteServerOptions {
   /// suspect_after > 0 for the failover half, and wal_dir on primaries for
   /// the shipping half (a volatile site can follow, but has no WAL to ship).
   Duration replication_interval = Duration(0);
-  /// Per-WalSegment budget of framed WAL bytes (always at least one whole
-  /// record, see read_wal_segment).
-  std::uint64_t replication_segment_bytes = 256 * 1024;
   /// Deployment-wide replica assignment: primary site -> follower site.
   /// Every site carries the whole map — routers need it to redirect work at
   /// a suspect's replica, not just the pairs they are part of. Cluster
@@ -236,7 +216,42 @@ class SiteServer {
   HF_ANY_THREAD HF_BLOCKING SiteStore store_copy();
 
  private:
+  /// The originating site's half of a query (ClientRequest): master
+  /// termination weight, merged results, and the client to answer.
+  struct Origination {
+    WeightedTerminationOriginator term;
+    SiteId client = kNoSite;
+    QuerySeq client_seq = 0;
+    std::unordered_set<ObjectId> ids_seen;
+    std::vector<ObjectId> ids;
+    std::vector<wire::RetrievedValue> values;
+    std::uint64_t total_count = 0;
+    std::unordered_map<SiteId, std::uint64_t> site_counts;  // count_only mode
+    std::unordered_set<SiteId> involved;  // sites we heard from / sent to
+    /// Losses reported by participants (ResultMessage::dropped_items).
+    /// maybe_finish adds the originator's own Participation::dropped;
+    /// a nonzero sum flags the reply partial.
+    std::uint64_t dropped_items = 0;
+    std::chrono::steady_clock::time_point last_activity;
+    /// Participant span snapshots, merged field-wise by max so a
+    /// duplicate-suppressed redelivery cannot double-record
+    /// (common/trace.hpp). The originator's own span joins at reply time.
+    std::unordered_map<SiteId, TraceSpan> spans;
+    /// Request arrival on this site's clock; the reply's elapsed_us.
+    std::chrono::steady_clock::time_point started;
+
+    /// Fold one site's results in: ids deduplicated, values appended,
+    /// count_only counts summed per site.
+    void merge(SiteId from, bool count_only, std::uint64_t count,
+               std::vector<ObjectId>& new_ids,
+               std::vector<wire::RetrievedValue>& new_values);
+  };
+
   struct Participation {
+    wire::QueryId qid;
+    /// Set iff this site originated the query, decided when the context is
+    /// created; the origination lives and dies with the context.
+    std::unique_ptr<Origination> origin;
     /// Serial QueryExecution, or ParallelExecution when drain_workers > 0.
     std::unique_ptr<SiteExecution> exec;
     /// Failover executions over shadow stores (DESIGN.md §18), one per
@@ -256,16 +271,18 @@ class SiteServer {
       return true;
     }
     WeightedTerminationParticipant weight;
+    /// Dijkstra-Scholten state (termination == kDijkstraScholten); the root
+    /// on the originator.
+    DijkstraScholtenNode ds{kNoSite};
     /// count_only: ids retained locally instead of shipped.
     std::vector<ObjectId> retained;
     /// (id, start) pairs already forwarded for objects absent here —
     /// prevents forwarding ping-pong when location records are stale.
     std::set<std::pair<ObjectId, std::uint32_t>> forwarded;
-    /// With batch_remote_derefs: dereferences buffered per destination
-    /// during the current drain, flushed as one message each.
-    std::unordered_map<SiteId, std::vector<wire::DerefEntry>> pending_batches;
     /// Duplicate suppression: msg_seq values already processed, per sender.
     /// A replayed message must not repay weight / add items a second time.
+    /// One set serves every message type: a sender numbers all its
+    /// sequenced messages from one stream.
     std::unordered_map<SiteId, std::unordered_set<std::uint64_t>> seen;
     /// Results whose send to the originator failed even after retries;
     /// stashed (with their weight back in `weight`) and re-flushed by the
@@ -273,8 +290,10 @@ class SiteServer {
     std::vector<ObjectId> pending_ids;
     std::vector<wire::RetrievedValue> pending_values;
     std::uint64_t pending_count = 0;
-    /// Work items this site knows it lost (undeliverable derefs); reported
-    /// to the originator as ResultMessage::dropped_items.
+    /// Work items this site knows it lost (undeliverable computation
+    /// messages, suspects without a replica). Participants report them as
+    /// ResultMessage::dropped_items; the originator's join the reported
+    /// ones at reply time.
     std::uint64_t dropped = 0;
     std::chrono::steady_clock::time_point last_activity;
 
@@ -288,39 +307,6 @@ class SiteServer {
     /// message's path extended with this site (capped at
     /// TraceSpan::kMaxPath).
     std::vector<SiteId> out_path;
-
-    // --- Dijkstra-Scholten state (termination == kDijkstraScholten) ---
-    bool ds_engaged = false;      // on the engagement tree?
-    SiteId ds_parent = kNoSite;   // whose message engaged us
-    std::uint64_t ds_deficit = 0; // our unacknowledged computation messages
-  };
-
-  struct Origination {
-    Query query;
-    WeightedTerminationOriginator term;
-    SiteId client = kNoSite;
-    QuerySeq client_seq = 0;
-    std::unordered_set<ObjectId> ids_seen;
-    std::vector<ObjectId> ids;
-    std::vector<wire::RetrievedValue> values;
-    std::uint64_t total_count = 0;
-    std::unordered_map<SiteId, std::uint64_t> site_counts;  // count_only mode
-    std::unordered_set<SiteId> involved;  // sites we heard from / sent to
-    /// Duplicate suppression for ResultMessages, per sender (see
-    /// Participation::seen).
-    std::unordered_map<SiteId, std::unordered_set<std::uint64_t>> seen;
-    /// Known losses: items this originator dropped plus every
-    /// ResultMessage::dropped_items reported by participants. Nonzero =>
-    /// the reply is flagged partial.
-    std::uint64_t dropped_items = 0;
-    std::chrono::steady_clock::time_point last_activity;
-    bool replied = false;
-    /// Participant span snapshots, merged field-wise by max so a
-    /// duplicate-suppressed redelivery cannot double-record
-    /// (common/trace.hpp). The originator's own span joins at reply time.
-    std::unordered_map<SiteId, TraceSpan> spans;
-    /// Request arrival on this site's clock; the reply's elapsed_us.
-    std::chrono::steady_clock::time_point started;
   };
 
   /// Last-seen bookkeeping for one peer (liveness, DESIGN.md §13).
@@ -364,6 +350,10 @@ class SiteServer {
   /// Periodic failure detection: ping quiet peers of interest, suspect the
   /// silent ones, force-finish their queries as partial.
   HF_EVENT_LOOP_ONLY void check_liveness();
+  /// check_liveness cadence: half the probe period (suspect_after / 3), so
+  /// pings recur every probe period — a pass lands exactly when one falls
+  /// due — and a suspicion lands at most suspect_after / 6 late.
+  Duration liveness_pass() const { return options_.suspect_after / 6; }
   HF_EVENT_LOOP_ONLY void suspect_peer(SiteId peer);
   /// The endpoint saw `peer`'s connection die (MessageEndpoint::
   /// take_peer_events): suspect it now.
@@ -376,18 +366,11 @@ class SiteServer {
   }
   HF_EVENT_LOOP_ONLY void handle(wire::Envelope env);
   HF_EVENT_LOOP_ONLY void handle_deref(SiteId src, wire::DerefRequest dr);
-  HF_EVENT_LOOP_ONLY void handle_batch_deref(SiteId src,
-                                              wire::BatchDerefRequest bd);
   HF_EVENT_LOOP_ONLY void handle_start(SiteId src, wire::StartQuery sq);
   HF_EVENT_LOOP_ONLY void handle_result(SiteId src, wire::ResultMessage rm);
   HF_EVENT_LOOP_ONLY void handle_client_request(SiteId src,
                                                 wire::ClientRequest cr);
   HF_EVENT_LOOP_ONLY void handle_done(const wire::QueryDone& qd);
-  /// The qid names a query *we* originated that is no longer live: a
-  /// duplicated or retried message outlived its query. Heal the sender by
-  /// (re)telling it the query is done; never recreate a context.
-  HF_EVENT_LOOP_ONLY bool stale_own_query(const wire::QueryId& qid,
-                                           SiteId src);
   HF_EVENT_LOOP_ONLY void handle_move_command(SiteId src,
                                                const wire::MoveCommand& mc);
   HF_EVENT_LOOP_ONLY void handle_move_data(wire::MoveData md);
@@ -451,19 +434,45 @@ class SiteServer {
                                         wire::Bytes snapshot);
   /// The failover execution serving `primary`'s shadow store for this
   /// query; created on first use. Requires replicas_.at(primary) to exist.
-  HF_EVENT_LOOP_ONLY SiteExecution& shadow_execution(const wire::QueryId& qid,
-                                                     Participation& p,
+  HF_EVENT_LOOP_ONLY SiteExecution& shadow_execution(Participation& p,
                                                      SiteId primary);
 
-  Participation& participation(const wire::QueryId& qid, const Query& query);
-  Origination* find_origination(const wire::QueryId& qid);
+  /// The query's context, created on first sight. `origin` is non-null
+  /// exactly when this site originates the query (handle_client_request);
+  /// it makes the context the Dijkstra-Scholten root.
+  Participation& participation(const wire::QueryId& qid, const Query& query,
+                               std::unique_ptr<Origination> origin = nullptr);
+  /// Accept step of a computation message, before its dedup guard: the
+  /// context, or nullptr when the qid names a query *we* originated that is
+  /// no longer live — a duplicated or retried message outlived its query.
+  /// Then the sender is healed by (re)telling it the query is done, and no
+  /// context is recreated.
+  HF_EVENT_LOOP_ONLY Participation* open_context(SiteId src,
+                                                 const wire::QueryId& qid,
+                                                 const Query& query);
+  /// Accept step of a computation message, after its dedup guard: refresh
+  /// the context's clock, record the engagement for the trace, and take the
+  /// message's termination share (receive_computation).
+  HF_EVENT_LOOP_ONLY void accept(Participation& p, SiteId src,
+                                 std::uint32_t hop,
+                                 const std::vector<SiteId>& path,
+                                 const wire::WeightBits& weight);
+  /// Termination accounting for an accepted computation message from `src`:
+  /// under D-S it engages this site or is acknowledged at once; its weight
+  /// joins this site's purse.
+  HF_EVENT_LOOP_ONLY void receive_computation(Participation& p, SiteId src,
+                                              const wire::WeightBits& weight);
+  /// Queue `item` on the execution when its object is stored here, else
+  /// route it to a remote site.
+  HF_EVENT_LOOP_ONLY void admit(Participation& p, WorkItem item);
   /// Drain the context's working set, then flush: results+weight to the
   /// originator (participants) or merged into the origination (originator).
-  HF_EVENT_LOOP_ONLY void drain_and_flush(const wire::QueryId& qid);
-  /// `force` (TTL expiry): reply now with whatever arrived, flagged partial,
-  /// instead of waiting for termination that can no longer happen.
-  HF_EVENT_LOOP_ONLY void maybe_finish(const wire::QueryId& qid,
-                                        Origination& o, bool force = false);
+  HF_EVENT_LOOP_ONLY void drain_and_flush(Participation& p);
+  /// Originator only (p.origin set): reply and end the query once it has
+  /// terminated. `force` (TTL expiry, suspicion): reply now with whatever
+  /// arrived, flagged partial, instead of waiting for termination that can
+  /// no longer happen. Either reply discards the context, `p` included.
+  HF_EVENT_LOOP_ONLY void maybe_finish(Participation& p, bool force = false);
   HF_EVENT_LOOP_ONLY void discard_context(const wire::QueryId& qid);
   /// Periodic self-healing pass (run_loop): force-finish expired
   /// originations, re-flush participants with stashed results, discard
@@ -485,38 +494,32 @@ class SiteServer {
 
   /// Route `item` to a remote site as a DerefRequest: destination is the
   /// id's presumed site, or the name registry's next hop when the hint
-  /// points here. Borrows termination weight for the message; repays and
-  /// drops the item if no destination exists or the send fails. With
-  /// batching enabled the item is buffered instead (see flush_batches).
-  HF_EVENT_LOOP_ONLY void route_remote(const wire::QueryId& qid,
-                                        Participation& p, WorkItem item);
-  HF_EVENT_LOOP_ONLY void flush_batches(const wire::QueryId& qid,
-                                         Participation& p);
+  /// points here. Drops the item if no destination exists or the send
+  /// fails (send_computation).
+  HF_EVENT_LOOP_ONLY void route_remote(Participation& p, WorkItem item);
+  /// The one sender of computation messages (DerefRequest, StartQuery):
+  /// borrow termination weight, stamp weight/msg_seq/hop/path, send with
+  /// retry. A failed send repays the weight and counts the item dropped, so
+  /// the query still terminates, partial; a delivered one counts toward
+  /// the D-S deficit, the span's `forwarded` and the involved sites.
+  template <typename Msg>
+  HF_EVENT_LOOP_ONLY void send_computation(Participation& p, SiteId to,
+                                           Msg msg);
 
-  /// Borrow / repay weight for qid: from the master weight if we originated
-  /// it, else from the participant's held weight. No-ops under D-S.
-  HF_EVENT_LOOP_ONLY Weight borrow_weight(const wire::QueryId& qid,
-                                           Participation& p);
-  HF_EVENT_LOOP_ONLY void repay_weight(const wire::QueryId& qid,
-                                        Participation& p, Weight w);
+  /// Borrow / repay weight for the query: from the master weight if we
+  /// originated it, else from the participant's held weight. No-ops under
+  /// D-S.
+  HF_EVENT_LOOP_ONLY Weight borrow_weight(Participation& p);
+  HF_EVENT_LOOP_ONLY void repay_weight(Participation& p, Weight w);
 
   bool using_ds() const {
     return options_.termination == TerminationAlgorithm::kDijkstraScholten;
   }
-  /// D-S bookkeeping: a computation message (deref/batch/start/result)
-  /// arrived from `src` — engage or ack immediately.
-  HF_EVENT_LOOP_ONLY void ds_on_computation_message(
-      const wire::QueryId& qid, Participation& p, SiteId src);
-  /// D-S: we successfully sent a computation message.
-  void ds_on_send(Participation& p) {
-    if (using_ds()) ++p.ds_deficit;
-  }
   HF_EVENT_LOOP_ONLY void handle_term_ack(SiteId src,
                                            const wire::TermAck& ta);
-  /// D-S: idle + zero deficit -> ack our engaging message (participants) or
-  /// finish the query (originator).
-  HF_EVENT_LOOP_ONLY void ds_try_settle(const wire::QueryId& qid,
-                                         Participation& p);
+  /// D-S, participants: once idle with every sent message acknowledged,
+  /// ack the engaging message and leave the engagement tree.
+  HF_EVENT_LOOP_ONLY void detach_if_settled(Participation& p);
 
   std::unique_ptr<MessageEndpoint> endpoint_;
   SiteStore store_;
@@ -547,10 +550,11 @@ class SiteServer {
   std::chrono::steady_clock::time_point last_sweep_;
   std::chrono::steady_clock::time_point last_checkpoint_;
   std::chrono::steady_clock::time_point last_liveness_check_;
+  /// Every live query context, originations included (Participation::
+  /// origin). Map nodes are address-stable, so an execution's remote sink
+  /// holds its own context by reference.
   std::unordered_map<wire::QueryId, Participation, wire::QueryIdHash>
       contexts_ HF_EVENT_LOOP_ONLY;
-  std::unordered_map<wire::QueryId, Origination, wire::QueryIdHash>
-      originated_ HF_EVENT_LOOP_ONLY;
   /// Result sets of count_only queries: name -> sites holding portions.
   std::unordered_map<std::string, std::vector<SiteId>>
       distributed_sets_ HF_EVENT_LOOP_ONLY;

@@ -226,7 +226,8 @@ void EpollNetwork::probe_down_peers() {
         outage.next_probe = now + outage.backoff;
         if (auto fd = dial(site); fd.ok()) {
           outage.probe =
-              std::make_shared<Conn>(fd.value(), /*connecting=*/true, site);
+              std::make_shared<Conn>(fd.value(), /*connecting=*/true, site,
+                                     /*probe=*/true);
           probes.push_back(outage.probe);
         }
       }
@@ -385,9 +386,9 @@ void EpollNetwork::read_conn(const ConnPtr& conn) {
         frame_drops.inc();
         HF_WARN << "epoll site " << self_ << ": oversized frame (" << len
                 << " bytes) from peer "
-                << (conn->last_src == kNoSite
+                << (conn->peer == kNoSite
                         ? std::string("?")
-                        : std::to_string(conn->last_src))
+                        : std::to_string(conn->peer))
                 << " fd " << conn->fd << "; closing connection";
         teardown_conn(conn, "oversized frame");
         return;
@@ -402,20 +403,20 @@ void EpollNetwork::read_conn(const ConnPtr& conn) {
         frame_drops.inc();
         HF_WARN << "epoll site " << self_
                 << ": dropping undecodable frame from peer "
-                << (conn->last_src == kNoSite
+                << (conn->peer == kNoSite
                         ? std::string("?")
-                        : std::to_string(conn->last_src))
+                        : std::to_string(conn->peer))
                 << " fd " << conn->fd << ": " << env.error().to_string();
         continue;
       }
-      if (env.value().src != conn->last_src) {
+      if (env.value().src != conn->peer) {
         // First frame from this site on this connection: learn the route,
         // and a peer that is talking again is no longer down.
-        conn->last_src = env.value().src;
+        conn->peer = env.value().src;
         MutexLock lock(conn_mu_);
-        learned_[conn->last_src] = conn;
-        if (down_.erase(conn->last_src) != 0) {
-          events_.push_back(PeerEvent{conn->last_src, /*up=*/true});
+        learned_[conn->peer] = conn;
+        if (down_.erase(conn->peer) != 0) {
+          events_.push_back(PeerEvent{conn->peer, /*up=*/true});
         }
       }
       inbox_.push(std::move(env).value());
@@ -515,8 +516,8 @@ void EpollNetwork::teardown_conn(const ConnPtr& conn,
   if (lost > 0) {
     HF_WARN << "epoll site " << self_ << ": connection fd " << conn->fd
             << " (peer "
-            << (conn->last_src == kNoSite ? std::string("?")
-                                          : std::to_string(conn->last_src))
+            << (conn->peer == kNoSite ? std::string("?")
+                                      : std::to_string(conn->peer))
             << ") down: " << reason << "; dropped " << lost
             << " queued frames";
   } else {
@@ -658,7 +659,7 @@ Result<void> EpollNetwork::send(SiteId to, wire::Message message) {
     } else if (to < peers_.size()) {
       auto fd = dial(to);
       if (!fd.ok()) return fd.error();
-      conn = std::make_shared<Conn>(fd.value(), /*connecting=*/true);
+      conn = std::make_shared<Conn>(fd.value(), /*connecting=*/true, to);
       conns_[to] = conn;
       adopt = true;
     } else if (auto lit = learned_.find(to); lit != learned_.end()) {

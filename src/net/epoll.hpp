@@ -119,8 +119,14 @@ class EpollNetwork final : public MessageEndpoint {
   /// One connection. Senders touch only the mu-guarded queue half; every
   /// socket operation and all parse/flush state belong to the loop thread.
   struct Conn {
-    Conn(int fd_in, bool connecting_in, SiteId probe_for_in = kNoSite)
-        : fd(fd_in), probe_for(probe_for_in), connecting(connecting_in) {}
+    /// `dialled`: the site an outbound connection or probe was opened to
+    /// (kNoSite for accepted ones); `probe` marks a reconnect probe.
+    Conn(int fd_in, bool connecting_in, SiteId dialled = kNoSite,
+         bool probe = false)
+        : fd(fd_in),
+          probe_for(probe ? dialled : kNoSite),
+          connecting(connecting_in),
+          peer(dialled) {}
 
     const int fd;
     /// Set on a frameless reconnect probe to a down peer: the site whose
@@ -148,8 +154,9 @@ class EpollNetwork final : public MessageEndpoint {
     std::size_t front_off = 0;
     /// Unparsed inbound bytes (partial frames between reads).
     wire::Bytes rdbuf;
-    /// Last site that decoded successfully here — peer identity for logs.
-    SiteId last_src = kNoSite;
+    /// Peer identity for logs and route learning: the dialled site, else
+    /// the last site that decoded successfully here.
+    SiteId peer = kNoSite;
   };
   using ConnPtr = std::shared_ptr<Conn>;
   using Clock = std::chrono::steady_clock;

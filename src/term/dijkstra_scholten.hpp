@@ -1,10 +1,14 @@
 // Dijkstra-Scholten diffusing-computation termination detection.
 //
-// Included as a second, independent detector so the property tests can
-// cross-check the weighted-message implementation (term/weighted.hpp): on
-// identical message traces both must report termination at the same point.
-// It is also the natural choice when message piggybacking is unavailable,
-// since it needs only signal (ack) edges, not weight fields.
+// The runtime's second detector (TerminationAlgorithm::kDijkstraScholten):
+// every SiteServer query context holds one node, the root on the
+// originating site, and the server only moves messages — it sends the acks
+// the node asks for and routes incoming acks back to on_ack. The property
+// tests cross-check it against the weighted-message implementation
+// (term/weighted.hpp): on identical message traces both must report
+// termination at the same point. It is the natural choice when message
+// piggybacking is unavailable, since it needs only signal (ack) edges, not
+// weight fields.
 //
 // Protocol recap: computation messages build a dynamic engagement tree
 // rooted at the originator. Every computation message is eventually
@@ -59,10 +63,11 @@ class DijkstraScholtenNode {
   /// Record sending a computation message (increases our deficit).
   void on_send() { ++deficit_; }
 
-  /// An ack for one of our computation messages arrived.
+  /// An ack for one of our computation messages arrived. Acks come off
+  /// the network, so one at zero deficit (stray, or misaddressed) is
+  /// ignored rather than wrapping the deficit around.
   void on_ack() {
-    assert(deficit_ > 0);
-    --deficit_;
+    if (deficit_ > 0) --deficit_;
   }
 
   /// Mark local work drained / resumed.

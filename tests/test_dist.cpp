@@ -3,11 +3,14 @@
 // with weighted-message termination detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <chrono>
+#include <filesystem>
+#include <optional>
 #include <thread>
 #include <tuple>
+#include <variant>
 
 #include "common/metrics.hpp"
 #include "dist/cluster.hpp"
@@ -247,72 +250,6 @@ TEST(Cluster, ManySequentialQueriesStayStable) {
   cluster.stop();
 }
 
-TEST(Cluster, BatchedDerefsProduceSameResults) {
-  SiteServerOptions options;
-  options.batch_remote_derefs = true;
-  Cluster cluster(3, options);
-  populate_cross_site_chain(cluster, 30);
-  Query q = parse_or_die(kClosure);
-  QueryResult expected = expected_on_merged(cluster, q);
-
-  cluster.start();
-  auto r = cluster.client().run(q);
-  ASSERT_TRUE(r.ok()) << r.error().to_string();
-  EXPECT_EQ(sorted(r.value().ids), sorted(expected.ids));
-  cluster.stop();
-
-  auto net = cluster.network_stats();
-  // The chain forces one batch per hop (each drain produces exactly one
-  // remote pointer), so batching is exercised even if it cannot save
-  // messages here.
-  EXPECT_GE(net.batch_deref_messages, 29u);
-  EXPECT_EQ(net.deref_messages, 0u);
-}
-
-TEST(Cluster, BatchedDerefsSaveMessagesOnFanout) {
-  // A star: the root points at 10 objects per remote site. Per-pointer mode
-  // sends 20 deref messages; batched mode sends 2.
-  auto build = [](Cluster& cluster) {
-    std::vector<ObjectId> leaves;
-    for (SiteId s = 1; s <= 2; ++s) {
-      for (int i = 0; i < 10; ++i) {
-        ObjectId id = cluster.store(s).allocate();
-        cluster.store(s).put(Object(id, {Tuple::keyword("hit")}));
-        leaves.push_back(id);
-      }
-    }
-    ObjectId root = cluster.store(0).allocate();
-    Object obj(root);
-    for (const ObjectId& leaf : leaves) obj.add(Tuple::pointer("Fan", leaf));
-    obj.add(Tuple::keyword("hit"));
-    cluster.store(0).put(std::move(obj));
-    cluster.store(0).create_set("S", std::span<const ObjectId>(&root, 1));
-  };
-  Query q = parse_or_die(R"(S (pointer, "Fan", ?X) ^^X (keyword, "hit", ?) -> T)");
-
-  Cluster plain(3);
-  build(plain);
-  plain.start();
-  auto r1 = plain.client().run(q);
-  ASSERT_TRUE(r1.ok());
-  plain.stop();
-
-  SiteServerOptions options;
-  options.batch_remote_derefs = true;
-  Cluster batched(3, options);
-  build(batched);
-  batched.start();
-  auto r2 = batched.client().run(q);
-  ASSERT_TRUE(r2.ok());
-  batched.stop();
-
-  EXPECT_EQ(r1.value().ids.size(), 21u);
-  EXPECT_EQ(sorted(r1.value().ids).size(), sorted(r2.value().ids).size());
-  EXPECT_EQ(plain.network_stats().deref_messages, 20u);
-  EXPECT_EQ(batched.network_stats().batch_deref_messages, 2u);
-  EXPECT_EQ(batched.network_stats().deref_messages, 0u);
-}
-
 TEST(Cluster, RewriteOnByDefaultPreservesResults) {
   Cluster cluster(3);
   populate_cross_site_chain(cluster, 18);
@@ -362,7 +299,6 @@ TEST_P(TerminationAlgos, PartialResultsOnFailure) {
 TEST_P(TerminationAlgos, CountOnlyContinuationWorks) {
   SiteServerOptions options;
   options.termination = GetParam();
-  options.batch_remote_derefs = true;  // exercise the combination too
   Cluster cluster(3, options);
   populate_cross_site_chain(cluster, 30);
   cluster.start();
@@ -553,6 +489,198 @@ TEST(SiteServerProtocol, DuplicateResultMessagesCountedOnce) {
   }
   EXPECT_TRUE(got_reply) << "no ClientReply within deadline";
   server.stop();
+}
+
+/// The next message the driver receives within `timeout`, if any.
+std::optional<wire::Message> next_message(MessageEndpoint& driver,
+                                          Duration timeout) {
+  auto env = driver.recv(timeout);
+  if (!env.has_value()) return std::nullopt;
+  return std::move(env->message);
+}
+
+TEST(SiteServerProtocol, BatchDerefRequestIsIgnored) {
+  // Batched dereferences exist only in the simulator (ablation A5): a site
+  // that receives one creates no context and answers nothing.
+  InProcNetwork net(2);
+  SiteStore store(0);
+  const ObjectId id = store.allocate();
+  store.put(Object(id, {Tuple::keyword("hit")}));
+  SiteServer server(net.endpoint(0), std::move(store));
+  server.start();
+  auto driver = net.endpoint(1);
+  const Query q = parse_or_die(R"(S (keyword, "hit", ?) -> T)");
+
+  wire::BatchDerefRequest bd;
+  bd.qid = {1, 1};
+  bd.query = q;
+  wire::DerefEntry entry;
+  entry.oid = id;
+  bd.items.push_back(entry);
+  bd.weight = {1};
+  bd.msg_seq = 1;
+  ASSERT_TRUE(driver->send(0, wire::Message(bd)).ok());
+
+  // A deref behind it on the same link: once its answer is back, the batch
+  // has been handled.
+  wire::DerefRequest dr;
+  dr.qid = {1, 2};
+  dr.query = q;
+  dr.oid = id;
+  dr.weight = {1};
+  dr.msg_seq = 2;
+  ASSERT_TRUE(driver->send(0, dr).ok());
+  auto reply = next_message(*driver, Duration(5'000'000));
+  ASSERT_TRUE(reply.has_value());
+  const auto* rm = std::get_if<wire::ResultMessage>(&*reply);
+  ASSERT_NE(rm, nullptr);
+  EXPECT_EQ(rm->qid, (wire::QueryId{1, 2})) << "the batch was answered";
+
+  // The deref's context is the only one: its QueryDone leaves none.
+  ASSERT_TRUE(driver->send(0, wire::QueryDone{{1, 2}}).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.context_count() != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the batch left a context behind";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(next_message(*driver, Duration(100'000)).has_value());
+  server.stop();
+}
+
+TEST(SiteServerProtocol, SpuriousTermAckNeitherUnderflowsNorDetaches) {
+  // Dijkstra-Scholten: an ack that reaches a participant at zero deficit
+  // (a stray frame with a fresh msg_seq) is ignored. Wrapping the deficit
+  // around would let the next result message bring it back to zero and
+  // detach the site before that result is acknowledged.
+  InProcNetwork net(2);
+  SiteStore store(0);
+  const ObjectId id = store.allocate();
+  store.put(Object(id, {Tuple::keyword("hit")}));
+  SiteServerOptions options;
+  options.termination = TerminationAlgorithm::kDijkstraScholten;
+  SiteServer server(net.endpoint(0), std::move(store), options);
+  server.start();
+  auto driver = net.endpoint(1);  // plays the originator, site 1
+  const wire::QueryId qid{1, 1};
+
+  auto expect_next = [&](std::size_t variant, const char* what) {
+    auto m = next_message(*driver, Duration(5'000'000));
+    ASSERT_TRUE(m.has_value()) << "no " << what;
+    EXPECT_EQ(m->index(), variant) << "expected " << what;
+  };
+  const std::size_t kResult = wire::Message(wire::ResultMessage{}).index();
+  const std::size_t kAck = wire::Message(wire::TermAck{}).index();
+
+  wire::DerefRequest dr;
+  dr.qid = qid;
+  dr.query = parse_or_die(R"(S (keyword, "hit", ?) -> T)");
+  dr.oid = id;
+  dr.msg_seq = 1;
+  ASSERT_TRUE(driver->send(0, dr).ok());
+  expect_next(kResult, "result for the engaging deref");
+  ASSERT_TRUE(driver->send(0, wire::TermAck{qid, 2}).ok());
+  expect_next(kAck, "detach ack once the result is acknowledged");
+
+  ASSERT_TRUE(driver->send(0, wire::TermAck{qid, 3}).ok());  // spurious
+  EXPECT_FALSE(next_message(*driver, Duration(200'000)).has_value())
+      << "a spurious ack was answered";
+
+  dr.msg_seq = 4;
+  ASSERT_TRUE(driver->send(0, dr).ok());
+  expect_next(kResult, "result for the re-engaging deref");
+  EXPECT_FALSE(next_message(*driver, Duration(300'000)).has_value())
+      << "detached before its result was acknowledged";
+  ASSERT_TRUE(driver->send(0, wire::TermAck{qid, 5}).ok());
+  expect_next(kAck, "detach ack after the second result");
+  server.stop();
+}
+
+/// Passes every frame through, recording when its site pings `watch`.
+class PingRecorder : public MessageEndpoint {
+ public:
+  PingRecorder(std::unique_ptr<MessageEndpoint> inner, SiteId watch)
+      : inner_(std::move(inner)), watch_(watch) {}
+
+  SiteId self() const override { return inner_->self(); }
+  Result<void> send(SiteId to, wire::Message message) override {
+    if (to == watch_ && std::holds_alternative<wire::PingMessage>(message)) {
+      MutexLock lock(mu_);
+      pings_.push_back(std::chrono::steady_clock::now());
+    }
+    return inner_->send(to, std::move(message));
+  }
+  std::optional<wire::Envelope> recv(Duration timeout) override {
+    return inner_->recv(timeout);
+  }
+  void wake_recv() override { inner_->wake_recv(); }
+
+  std::vector<std::chrono::steady_clock::time_point> pings() const {
+    MutexLock lock(mu_);
+    return pings_;
+  }
+
+ private:
+  std::unique_ptr<MessageEndpoint> inner_;
+  const SiteId watch_;
+  mutable Mutex mu_;
+  std::vector<std::chrono::steady_clock::time_point> pings_
+      HF_GUARDED_BY(mu_);
+};
+
+TEST(SiteServerProtocol, SuspectPingedEveryProbePeriod) {
+  // A suspect is re-pinged every probe period (suspect_after / 3): its
+  // reply is what revives it when the transport cannot report it
+  // reachable. A pass cadence of suspect_after / 4 rounded the period up
+  // to two passes — 150 ms here instead of 100 ms.
+  InProcNetwork net(3);
+  SiteStore store(0);
+  const ObjectId local = store.allocate();
+  Object obj(local);
+  obj.add(Tuple::pointer("Reference", ObjectId(2, 1)));
+  store.put(std::move(obj));
+  store.create_set("S", std::span<const ObjectId>(&local, 1));
+
+  SiteServerOptions options;
+  options.suspect_after = Duration(300'000);
+  auto recorder = std::make_unique<PingRecorder>(net.endpoint(0), 2);
+  const PingRecorder& recorded = *recorder;
+  SiteServer server(std::move(recorder), std::move(store), options);
+  net.close_endpoint(2);  // site 2 is dead: sends to it fail loudly
+  server.start();
+
+  // The query's deref to site 2 fails, which makes site 2 a suspect.
+  auto client = net.endpoint(1);
+  wire::ClientRequest cr;
+  cr.client_seq = 1;
+  cr.query = parse_or_die(R"(S [ (pointer, "Reference", ?X) | ^^X ]* -> T)");
+  ASSERT_TRUE(client->send(0, cr).ok());
+  auto reply = next_message(*client, Duration(5'000'000));
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_TRUE(std::holds_alternative<wire::ClientReply>(*reply));
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto from = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+  const auto to = std::chrono::steady_clock::now();
+  server.stop();
+
+  std::vector<double> gaps_ms;
+  std::optional<std::chrono::steady_clock::time_point> last;
+  for (const auto& t : recorded.pings()) {
+    if (t < from || t > to) continue;
+    if (last.has_value()) {
+      gaps_ms.push_back(
+          std::chrono::duration<double, std::milli>(t - *last).count());
+    }
+    last = t;
+  }
+  ASSERT_GE(gaps_ms.size(), 5u) << "the suspect was not pinged";
+  std::sort(gaps_ms.begin(), gaps_ms.end());
+  const double median = gaps_ms[gaps_ms.size() / 2];
+  EXPECT_GE(median, 95.0) << "pinged more often than the probe period";
+  EXPECT_LE(median, 125.0) << "probe period 100 ms, measured " << median;
 }
 
 TEST(SiteServerProtocol, StrandedParticipantContextExpiresViaTtl) {

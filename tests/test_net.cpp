@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "common/metrics.hpp"
@@ -642,6 +643,40 @@ TEST(EpollNetwork, DeadPeerTombstoneFailsNextSendLoudly) {
   }
   EXPECT_TRUE(saw_io) << "connection failure never surfaced to a sender";
   a.value()->shutdown();
+}
+
+TEST(EpollNetwork, DroppedFramesWarningNamesTheDialledPeer) {
+  // The warning that reports frames lost with a dead connection names the
+  // site it was dialled to: an outbound connection that never connected
+  // hears no inbound frame to learn the peer from.
+  RawListener closed_probe;
+  ASSERT_TRUE(closed_probe.open());
+  const std::uint16_t dead_port = closed_probe.port;
+  ::close(closed_probe.fd);
+  closed_probe.fd = -1;
+
+  std::vector<TcpPeer> peers = {{"127.0.0.1", 0}, {"127.0.0.1", dead_port}};
+  auto a = EpollNetwork::create(0, peers);
+  if (!a.ok()) GTEST_SKIP() << "no localhost sockets";
+
+  testing::internal::CaptureStderr();
+  bool queued = false;
+  bool saw_io = false;
+  for (int i = 0; i < 500 && !saw_io; ++i) {
+    if (a.value()->send(1, sample_message()).ok()) {
+      queued = true;
+    } else {
+      saw_io = true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  a.value()->shutdown();  // joins the loop: its warnings are all written
+  const std::string err = testing::internal::GetCapturedStderr();
+  if (!queued) {
+    GTEST_SKIP() << "connect refused synchronously; no frame was queued";
+  }
+  EXPECT_NE(err.find("(peer 1) down"), std::string::npos) << err;
+  EXPECT_EQ(err.find("(peer ?)"), std::string::npos) << err;
 }
 
 TEST(EpollNetwork, SendToKnownDownPeerFailsWithoutQueueing) {

@@ -150,7 +150,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Equivalence,
 struct ClusterVariant {
   std::uint64_t seed;
   TerminationAlgorithm termination;
-  bool batch;
 };
 
 class ClusterEquivalence : public ::testing::TestWithParam<ClusterVariant> {};
@@ -170,7 +169,6 @@ TEST_P(ClusterEquivalence, ThreadedRuntimeAgrees) {
 
   SiteServerOptions options;
   options.termination = GetParam().termination;
-  options.batch_remote_derefs = GetParam().batch;
   Cluster cluster(kSites, options);
   {
     Rng rng_same(seed);
@@ -208,16 +206,14 @@ TEST_P(ClusterEquivalence, ThreadedRuntimeAgrees) {
 constexpr auto kWeighted = TerminationAlgorithm::kWeightedMessages;
 constexpr auto kDS = TerminationAlgorithm::kDijkstraScholten;
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, ClusterEquivalence,
-    ::testing::Values(ClusterVariant{5u, kWeighted, false},
-                      ClusterVariant{15u, kWeighted, false},
-                      ClusterVariant{25u, kWeighted, true},
-                      ClusterVariant{35u, kWeighted, true},
-                      ClusterVariant{45u, kDS, false},
-                      ClusterVariant{65u, kDS, false},
-                      ClusterVariant{75u, kDS, true},
-                      ClusterVariant{85u, kDS, true}));
+// Static storage zero-fills the struct's padding, so the byte-dump names
+// gtest gives these parameters are the same on every build.
+constexpr ClusterVariant kClusterVariants[] = {
+    {5u, kWeighted},  {15u, kWeighted}, {25u, kWeighted}, {35u, kWeighted},
+    {45u, kDS},       {65u, kDS},       {75u, kDS},       {85u, kDS}};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClusterEquivalence,
+                         ::testing::ValuesIn(kClusterVariants));
 
 }  // namespace
 }  // namespace hyperfile

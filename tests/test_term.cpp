@@ -340,5 +340,25 @@ TEST(DijkstraScholten, NonEngagingMessageAckedImmediately) {
   EXPECT_EQ(*node.parent(), 0u);
 }
 
+TEST(DijkstraScholten, AckAtZeroDeficitIsIgnored) {
+  // Acks arrive off the network: a stray one at zero deficit must neither
+  // wrap the deficit (the next send would then read as acknowledged) nor
+  // settle anything.
+  DijkstraScholtenNode node(1);
+  EXPECT_TRUE(node.on_message(0));
+  node.on_ack();
+  EXPECT_EQ(node.deficit(), 0u);
+  node.on_send();
+  EXPECT_FALSE(node.ready_to_detach());  // the real ack is still owed
+  node.on_ack();
+  EXPECT_TRUE(node.ready_to_detach());
+
+  DijkstraScholtenNode root(0, true);
+  root.on_ack();
+  EXPECT_EQ(root.deficit(), 0u);
+  root.on_send();
+  EXPECT_FALSE(root.terminated());
+}
+
 }  // namespace
 }  // namespace hyperfile

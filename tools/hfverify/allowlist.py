@@ -87,13 +87,16 @@ DEDUP_PREDICATE = "already_seen"
 SIDE_EFFECT_CALLS = {
     # weight conservation (term/)
     "repay_weight", "borrow_weight", "repay", "borrow", "split",
-    # distributed-set / D-S termination protocol
-    "ds_on_computation_message", "ds_on_send", "ds_try_settle",
-    "note_engagement", "maybe_finish",
+    # distributed-set / D-S termination protocol: the shared accept step
+    # of computation messages, and the DijkstraScholtenNode calls
+    "accept", "receive_computation", "detach_if_settled",
+    "on_message", "on_send", "on_ack", "detach",
+    "note_engagement", "maybe_finish", "merge",
     # engine seeding / drains
-    "add_item", "seed_local_set", "seed_initial", "drain", "drain_and_flush",
+    "add_item", "admit", "seed_local_set", "seed_initial", "drain",
+    "drain_and_flush",
     # routing / replies
-    "route_remote", "flush_batches", "send_reply",
+    "route_remote", "send_computation", "send_reply",
     # summary exchange (DESIGN.md §16): installing a gossiped record before
     # the dedup guard would let a duplicated frame re-run the install scan
     "install_summary",
