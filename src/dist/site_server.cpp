@@ -26,6 +26,11 @@ constexpr int kSendRetries = 2;
 /// record, see read_wal_segment).
 constexpr std::uint64_t kReplicationSegmentBytes = 256 * 1024;
 
+/// Most frames one loop turn handles before it drains the contexts they
+/// marked (run_loop). Bounds how long liveness, run_exclusive tasks and
+/// sweeps can wait behind a busy inbox.
+constexpr std::size_t kInboxBurst = 64;
+
 /// Record (src, seq) in the per-context dedup map; true iff the message was
 /// already processed. seq 0 marks an unsequenced message and is never
 /// suppressed.
@@ -398,7 +403,17 @@ void SiteServer::run_loop() {
     // cut it short through wake_recv().
     // hfverify: allow-blocking(recv-wait): bounded wait, see above.
     auto env = endpoint_->recv(recv_budget());
-    if (env.has_value()) handle(std::move(*env));
+    // Inbox burst: handle every frame already queued (up to kInboxBurst)
+    // before draining, so a context sent many dereferences drains once and
+    // answers with one ResultMessage instead of one per dereference.
+    for (std::size_t n = 1; env.has_value(); ++n) {
+      handle(std::move(*env));
+      if (n == kInboxBurst) break;
+      // hfverify: allow-blocking(recv-poll): a zero wait never blocks — it
+      // is a plain locked pop of the inbox (Channel::pop_wait).
+      env = endpoint_->recv(Duration(0));
+    }
+    drain_marked();
     // Reachability the transport noticed between sends: act on a dead
     // connection now (frames it held took their termination weight with
     // them) instead of waiting out the silence window or the context TTL,
@@ -1443,7 +1458,7 @@ void SiteServer::handle_deref(SiteId src, wire::DerefRequest dr) {
   item.iter_stack = dr.iter_stack.empty() ? std::vector<std::uint32_t>{1}
                                           : std::move(dr.iter_stack);
   admit(*p, std::move(item));
-  drain_and_flush(*p);
+  mark_for_drain(*p);
 }
 
 void SiteServer::handle_start(SiteId src, wire::StartQuery sq) {
@@ -1457,7 +1472,26 @@ void SiteServer::handle_start(SiteId src, wire::StartQuery sq) {
   accept(*p, src, sq.hop, sq.path, sq.weight);
   for (const ObjectId& id : sq.ids) admit(*p, WorkItem::initial(id));
   if (!sq.local_set_name.empty()) p->exec->seed_local_set(sq.local_set_name);
-  drain_and_flush(*p);
+  mark_for_drain(*p);
+}
+
+void SiteServer::mark_for_drain(Participation& p) {
+  if (p.marked) return;
+  p.marked = true;
+  marked_.push_back(p.qid);
+}
+
+void SiteServer::drain_marked() {
+  std::vector<wire::QueryId> marked;
+  marked.swap(marked_);
+  for (const wire::QueryId& qid : marked) {
+    // Gone mid-burst (QueryDone, an origination that finished) or listed
+    // twice (discarded, then recreated by a later frame): nothing to flush.
+    auto it = contexts_.find(qid);
+    if (it == contexts_.end() || !it->second.marked) continue;
+    it->second.marked = false;
+    drain_and_flush(it->second);
+  }
 }
 
 void SiteServer::drain_and_flush(Participation& p) {
@@ -1668,7 +1702,7 @@ void SiteServer::handle_client_request(SiteId src, wire::ClientRequest cr) {
       return;
     }
   }
-  drain_and_flush(p);
+  mark_for_drain(p);
 }
 
 void SiteServer::maybe_finish(Participation& p, bool force) {

@@ -9,10 +9,14 @@
 //   Q.mark_table, Q.W   — per-site engine state (engine/execution.hpp)
 //   Q.result            — results batched since the last drain
 //
-// Message handling:
-//   * DerefRequest  — install context if new, enqueue (id, start, iter#),
-//     drain, then send accumulated results + all held termination weight
-//     straight to the originator (results never flow along pointer paths).
+// Message handling. The event loop takes a burst of queued frames (up to
+// kInboxBurst) before it drains: the computation messages below only admit
+// work and mark their context, and each marked context drains and flushes
+// once per burst.
+//   * DerefRequest  — install context if new, enqueue (id, start, iter#);
+//     the drain then sends accumulated results + all held termination
+//     weight straight to the originator (results never flow along pointer
+//     paths), one ResultMessage per burst, however many derefs it held.
 //   * StartQuery    — like DerefRequest but seeds several ids and/or this
 //     site's local portion of a named set (distributed-set continuation).
 //   * ClientRequest — this site becomes the query's *originating site*: it
@@ -307,6 +311,9 @@ class SiteServer {
     /// message's path extended with this site (capped at
     /// TraceSpan::kMaxPath).
     std::vector<SiteId> out_path;
+    /// Work was admitted this inbox burst; listed in marked_ until
+    /// drain_marked() drains and flushes the context.
+    bool marked = false;
   };
 
   /// Last-seen bookkeeping for one peer (liveness, DESIGN.md §13).
@@ -465,6 +472,12 @@ class SiteServer {
   /// Queue `item` on the execution when its object is stored here, else
   /// route it to a remote site.
   HF_EVENT_LOOP_ONLY void admit(Participation& p, WorkItem item);
+  /// Note that `p` admitted work in the current inbox burst; it drains once
+  /// the burst ends (drain_marked).
+  HF_EVENT_LOOP_ONLY void mark_for_drain(Participation& p);
+  /// End of an inbox burst: drain_and_flush every marked context that
+  /// still exists, once each.
+  HF_EVENT_LOOP_ONLY void drain_marked();
   /// Drain the context's working set, then flush: results+weight to the
   /// originator (participants) or merged into the origination (originator).
   HF_EVENT_LOOP_ONLY void drain_and_flush(Participation& p);
@@ -555,6 +568,8 @@ class SiteServer {
   /// holds its own context by reference.
   std::unordered_map<wire::QueryId, Participation, wire::QueryIdHash>
       contexts_ HF_EVENT_LOOP_ONLY;
+  /// Contexts marked in the current inbox burst, in marking order.
+  std::vector<wire::QueryId> marked_ HF_EVENT_LOOP_ONLY;
   /// Result sets of count_only queries: name -> sites holding portions.
   std::unordered_map<std::string, std::vector<SiteId>>
       distributed_sets_ HF_EVENT_LOOP_ONLY;

@@ -27,8 +27,12 @@ class Channel {
   }
 
   /// Blocking pop with timeout. nullopt on timeout, on interrupt(), or when
-  /// closed and empty.
+  /// closed and empty. A timeout <= 0 is a plain locked pop: it never enters
+  /// the condition-variable wait (the site loop's inbox burst pops this way
+  /// once per frame, and the wait path made it 2x slower over sockets) and
+  /// leaves a latched interrupt() for the next waiting pop.
   HF_BLOCKING std::optional<T> pop_wait(Duration timeout) {
+    if (timeout <= Duration(0)) return try_pop();
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     MutexLock lock(mu_);
     while (items_.empty() && !closed_ && interrupts_ == 0) {

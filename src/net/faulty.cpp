@@ -100,19 +100,26 @@ Result<void> FaultInjectingEndpoint::send(SiteId to, wire::Message message) {
     MutexLock lock(mu_);
     due = advance_tick();
     dead_links = drop_crashed(due);
-    ++stats_.attempts;
+    // A frame that goes to the inner endpoint (forward, duplicate) counts
+    // its attempt and verdict in the same step as its delivery, after the
+    // inner sends, as deliver() does for released frames: a snapshot taken
+    // while a send is in flight sees neither, so the attempt and delivery
+    // laws (faulty.hpp) hold even while the sites still run.
     // Crash outranks every other treatment, exemptions included: a dead
     // process is equally dead on an exempt link, and the failure must be
     // *detected* (kClosed), never silently injected away.
     if (crashed_.count(to) != 0) {
+      ++stats_.attempts;
       ++stats_.crashed;
       verdict = Verdict::kCrashed;
     } else if (link_exempt(to)) {
-      ++stats_.forwarded;
+      // kForward, counted after the inner send.
     } else if (all_partitioned_ || partitioned_.count(to) != 0) {
+      ++stats_.attempts;
       ++stats_.partitioned;
       verdict = Verdict::kPartitioned;
     } else if (rng_.next_bool(options_.drop_p)) {
+      ++stats_.attempts;
       ++stats_.dropped;
       verdict = Verdict::kDrop;
     } else if (rng_.next_bool(options_.reorder_p) ||
@@ -130,15 +137,12 @@ Result<void> FaultInjectingEndpoint::send(SiteId to, wire::Message message) {
                             (options_.reorder_p + options_.delay_p + 1e-12))
                  ? 1
                  : span;
+      ++stats_.attempts;
       ++stats_.held;
       held_.push_back(Held{to, std::move(message), ticks_ + hold});
       verdict = Verdict::kHold;
-    } else {
-      ++stats_.forwarded;
-      if (rng_.next_bool(options_.dup_p)) {
-        ++stats_.duplicated;
-        verdict = Verdict::kDuplicate;
-      }
+    } else if (rng_.next_bool(options_.dup_p)) {
+      verdict = Verdict::kDuplicate;  // counted after the inner sends
     }
   }
   // Injected events become registry ground truth, per link, so benches and
@@ -186,16 +190,18 @@ Result<void> FaultInjectingEndpoint::send(SiteId to, wire::Message message) {
       auto r = inner_->send(to, std::move(message));
       auto r2 = inner_->send(to, std::move(copy));
       MutexLock lock(mu_);
-      if (r.ok()) ++stats_.delivered;
-      if (r2.ok()) ++stats_.delivered;
+      ++stats_.attempts;
+      ++stats_.forwarded;
+      ++stats_.duplicated;
+      stats_.delivered += (r.ok() ? 1 : 0) + (r2.ok() ? 1 : 0);
       return r;
     }
     case Verdict::kForward: {
       auto r = inner_->send(to, std::move(message));
-      if (r.ok()) {
-        MutexLock lock(mu_);
-        ++stats_.delivered;
-      }
+      MutexLock lock(mu_);
+      ++stats_.attempts;
+      ++stats_.forwarded;
+      if (r.ok()) ++stats_.delivered;
       return r;
     }
   }

@@ -597,6 +597,176 @@ TEST(SiteServerProtocol, SpuriousTermAckNeitherUnderflowsNorDetaches) {
   server.stop();
 }
 
+/// A site-0 store of `n` objects carrying keyword "hit", plus their ids.
+std::pair<SiteStore, std::vector<ObjectId>> hit_store(std::size_t n) {
+  SiteStore store(0);
+  std::vector<ObjectId> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    ids.push_back(store.allocate());
+    store.put(Object(ids.back(), {Tuple::keyword("hit")}));
+  }
+  return {std::move(store), std::move(ids)};
+}
+
+/// One DerefRequest per id for query `qid`, sent by `from` to site 0
+/// with msg_seq first_seq, first_seq + 1, ... and weight 2^-(i+2) each;
+/// returns the weight sent in total.
+Weight send_derefs(MessageEndpoint& from, const wire::QueryId& qid,
+                   const std::vector<ObjectId>& ids, std::uint64_t first_seq) {
+  Weight sent = Weight::zero();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    wire::DerefRequest dr;
+    dr.qid = qid;
+    dr.query = parse_or_die(R"(S (keyword, "hit", ?) -> T)");
+    dr.oid = ids[i];
+    dr.weight = {static_cast<std::uint32_t>(i + 2)};
+    sent.add(Weight::from_exponents(dr.weight));
+    dr.msg_seq = first_seq + i;
+    EXPECT_TRUE(from.send(0, dr).ok());
+  }
+  return sent;
+}
+
+TEST(SiteServerProtocol, QueuedDerefsAnswerWithOneResultMessage) {
+  // Derefs already queued when the loop turns are one inbox burst: the
+  // participant drains once and answers with one ResultMessage carrying
+  // every id and the sum of the derefs' weights.
+  InProcNetwork net(2);
+  auto [store, ids] = hit_store(8);
+  SiteServer server(net.endpoint(0), std::move(store));
+  auto peer = net.endpoint(1);
+  const wire::QueryId qid{1, 1};
+  const Weight sent = send_derefs(*peer, qid, ids, 1);
+  server.start();
+
+  auto m = next_message(*peer, Duration(5'000'000));
+  ASSERT_TRUE(m.has_value());
+  const auto* rm = std::get_if<wire::ResultMessage>(&*m);
+  ASSERT_NE(rm, nullptr);
+  EXPECT_EQ(rm->qid, qid);
+  EXPECT_EQ(sorted(rm->ids), sorted(ids));
+  EXPECT_TRUE(Weight::from_exponents(rm->weight) == sent)
+      << "the result did not carry every deref's weight";
+  EXPECT_FALSE(next_message(*peer, Duration(300'000)).has_value())
+      << "more than one message for one burst";
+  server.stop();
+}
+
+TEST(SiteServerProtocol, QueuedDerefsUnderDijkstraScholtenBalanceAcks) {
+  // The same burst under Dijkstra-Scholten: the first deref engages the
+  // site, the others are acked at once, and the one ResultMessage is the
+  // site's only tree message. Once it is acked, the detach ack makes the
+  // acks the peer received equal the derefs it sent.
+  InProcNetwork net(2);
+  auto [store, ids] = hit_store(6);
+  SiteServerOptions options;
+  options.termination = TerminationAlgorithm::kDijkstraScholten;
+  SiteServer server(net.endpoint(0), std::move(store), options);
+  auto peer = net.endpoint(1);
+  const wire::QueryId qid{1, 1};
+  send_derefs(*peer, qid, ids, 1);
+  server.start();
+
+  std::size_t acks = 0;
+  std::optional<wire::Message> m;
+  for (;;) {
+    m = next_message(*peer, Duration(5'000'000));
+    ASSERT_TRUE(m.has_value()) << "no ResultMessage";
+    if (!std::holds_alternative<wire::TermAck>(*m)) break;
+    ++acks;
+  }
+  const auto* rm = std::get_if<wire::ResultMessage>(&*m);
+  ASSERT_NE(rm, nullptr);
+  EXPECT_EQ(sorted(rm->ids), sorted(ids));
+  EXPECT_EQ(acks, ids.size() - 1) << "non-engaging derefs are acked at once";
+  ASSERT_TRUE(peer->send(0, wire::TermAck{qid, ids.size() + 1}).ok());
+  auto detach = next_message(*peer, Duration(5'000'000));
+  ASSERT_TRUE(detach.has_value());
+  EXPECT_TRUE(std::holds_alternative<wire::TermAck>(*detach));
+  ++acks;
+  EXPECT_EQ(acks, ids.size()) << "acks must balance the derefs sent";
+  EXPECT_FALSE(next_message(*peer, Duration(300'000)).has_value())
+      << "a second result or a stray ack";
+  server.stop();
+}
+
+TEST(SiteServerProtocol, QueryDoneMidBurstDiscardsWithoutFlushing) {
+  // A QueryDone that lands after a context's derefs but within the same
+  // burst discards the context before it drains: no result goes out for
+  // it. A later query in the burst is answered as usual.
+  InProcNetwork net(2);
+  auto [store, ids] = hit_store(3);
+  SiteServer server(net.endpoint(0), std::move(store));
+  auto peer = net.endpoint(1);
+  const wire::QueryId done{1, 1};
+  const wire::QueryId live{1, 2};
+  send_derefs(*peer, done, ids, 1);
+  ASSERT_TRUE(peer->send(0, wire::QueryDone{done}).ok());
+  send_derefs(*peer, live, {ids[0]}, 10);
+  server.start();
+
+  auto m = next_message(*peer, Duration(5'000'000));
+  ASSERT_TRUE(m.has_value());
+  const auto* rm = std::get_if<wire::ResultMessage>(&*m);
+  ASSERT_NE(rm, nullptr);
+  EXPECT_EQ(rm->qid, live) << "the discarded context flushed a result";
+  EXPECT_FALSE(next_message(*peer, Duration(300'000)).has_value())
+      << "a stray message after the live query's result";
+  server.stop();
+}
+
+TEST(SiteServerProtocol, OriginatorDoesNotFinishWithItemsUndrained) {
+  // At the originator, a ResultMessage handled in the same burst as the
+  // ClientRequest finds the seeded items admitted but undrained, and all
+  // weight still home. The query must not finish there: the reply has to
+  // carry the local hit, found only once the burst's drain runs.
+  InProcNetwork net(3);  // site 0 server, site 1 participant, site 2 client
+  SiteStore store(0);
+  const ObjectId local = store.allocate();
+  Object obj(local);
+  obj.add(Tuple::pointer("Reference", ObjectId(1, 1)));
+  obj.add(Tuple::keyword("hit"));
+  store.put(std::move(obj));
+  store.create_set("S", std::span<const ObjectId>(&local, 1));
+  SiteServer server(net.endpoint(0), std::move(store));
+  auto peer = net.endpoint(1);
+  auto client = net.endpoint(2);
+
+  wire::ClientRequest cr;
+  cr.client_seq = 1;
+  cr.query = parse_or_die(
+      R"(S [ (pointer, "Reference", ?X) | ^^X ]* (keyword, "hit", ?) -> T)");
+  ASSERT_TRUE(client->send(0, cr).ok());
+  const wire::QueryId qid{0, 1};  // the server's first query
+  wire::ResultMessage early;
+  early.qid = qid;
+  early.msg_seq = 1;
+  ASSERT_TRUE(peer->send(0, wire::Message(early)).ok());
+  server.start();
+
+  // The drain chases the remote pointer to us, so the query is still open.
+  auto m = next_message(*peer, Duration(5'000'000));
+  ASSERT_TRUE(m.has_value());
+  const auto* dr = std::get_if<wire::DerefRequest>(&*m);
+  ASSERT_NE(dr, nullptr);
+  EXPECT_FALSE(next_message(*client, Duration(100'000)).has_value())
+      << "the originator replied before its own items drained";
+
+  wire::ResultMessage fin;
+  fin.qid = qid;
+  fin.weight = dr->weight;
+  fin.msg_seq = 2;
+  ASSERT_TRUE(peer->send(0, wire::Message(fin)).ok());
+  auto reply = next_message(*client, Duration(5'000'000));
+  ASSERT_TRUE(reply.has_value());
+  const auto* cre = std::get_if<wire::ClientReply>(&*reply);
+  ASSERT_NE(cre, nullptr);
+  EXPECT_TRUE(cre->ok) << cre->error;
+  EXPECT_EQ(cre->ids, std::vector<ObjectId>{local});
+  EXPECT_FALSE(cre->partial);
+  server.stop();
+}
+
 /// Passes every frame through, recording when its site pings `watch`.
 class PingRecorder : public MessageEndpoint {
  public:

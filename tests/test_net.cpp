@@ -42,6 +42,33 @@ TEST(Channel, PopWaitTimesOut) {
   EXPECT_GE(elapsed, std::chrono::milliseconds(40));
 }
 
+TEST(Channel, ZeroWaitPopNeverParksAndKeepsInterrupt) {
+  // A zero wait is a plain locked pop (the site loop's inbox burst): it
+  // returns at once and must not swallow a latched interrupt(), or the
+  // wake meant for the next parked pop would be lost.
+  Channel<int> ch;
+  ch.interrupt();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(ch.pop_wait(Duration(0)).has_value());
+  EXPECT_FALSE(ch.pop_wait(Duration(-5)).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+  const auto t1 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(ch.pop_wait(kLong).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t1, kLong / 2)
+      << "the zero-wait pop consumed the latched interrupt";
+
+  // Non-empty: FIFO order, one item per call, then empty.
+  for (int i = 1; i <= 3; ++i) ch.push(i);
+  ch.interrupt();
+  for (int i = 1; i <= 3; ++i) EXPECT_EQ(ch.pop_wait(Duration(0)).value(), i);
+  EXPECT_FALSE(ch.pop_wait(Duration(0)).has_value());
+  const auto t2 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(ch.pop_wait(kLong).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t2, kLong / 2)
+      << "popping items consumed the latched interrupt";
+}
+
 TEST(Channel, CloseUnblocksAndRejectsPush) {
   Channel<int> ch;
   std::thread waiter([&] { EXPECT_FALSE(ch.pop_wait(kLong).has_value()); });

@@ -94,7 +94,7 @@ SIDE_EFFECT_CALLS = {
     "note_engagement", "maybe_finish", "merge",
     # engine seeding / drains
     "add_item", "admit", "seed_local_set", "seed_initial", "drain",
-    "drain_and_flush",
+    "drain_and_flush", "mark_for_drain",
     # routing / replies
     "route_remote", "send_computation", "send_reply",
     # summary exchange (DESIGN.md §16): installing a gossiped record before
